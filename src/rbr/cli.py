@@ -26,20 +26,33 @@ def _load_graph(path: str) -> RbrGraph:
         return read_graph(fh.read())
 
 
+def _spec_numbers(spec: str, arity: int) -> list[int]:
+    """The ``arity`` integer fields after the name of a builtin game spec."""
+    fields = spec.split(":")[1:]
+    if len(fields) == arity:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    raise RbrError(
+        f"malformed game spec {spec!r}; expected guess23:<agents>:<max> or gk:<k>"
+    )
+
+
 def _resolve_game(spec: str, g: RbrGraph) -> Game:
     """A builtin game spec string, or a path to a game document."""
     if spec == "binary":
         return make_binary_game(g.agents)
     if spec.startswith("gk:"):
-        return make_sequence_game(g.agents, int(spec.split(":", 1)[1]))
+        (k,) = _spec_numbers(spec, 1)
+        return make_sequence_game(g.agents, k)
     if spec.startswith("guess23:"):
-        _, count, max_int = spec.split(":")
-        count = int(count)
+        count, max_int = _spec_numbers(spec, 2)
         if count != g.num_agents:
             raise RbrError(
                 f"guess23 wants {count} agents but the graph has {g.num_agents}"
             )
-        return make_guess_average_game(count, int(max_int), agents=g.agents)
+        return make_guess_average_game(count, max_int, agents=g.agents)
     with open(spec, encoding="utf-8") as fh:
         game = parse_game(fh.read())
     if game.agents != g.agents:

@@ -9,8 +9,10 @@ comparison oracle; utility-defined games derive the oracle from exact
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -23,6 +25,9 @@ Outcome = tuple
 # better, 0 equivalent, None incomparable.
 Compare = Callable[[int, Outcome, Outcome], Optional[int]]
 
+# Bound on the cells of one agent's payoff table, |S_a| * prod_{b != a} |S_b|
+# (the number of full outcome profiles); ``dominates`` applies it to the
+# opponent profiles of a scene.
 DEFAULT_PROFILE_CAP = 10**6
 
 
@@ -32,13 +37,17 @@ class Game:
 
     ``compare(a, s, s2)`` is agent ``a``'s preference oracle over full
     outcome profiles.  ``utility`` is present exactly when the game is
-    utility-defined; it must agree with ``compare``.
+    utility-defined; it must agree with ``compare`` and return exact
+    rationals (``int`` or ``Fraction``).
     """
 
     agents: tuple[str, ...]
     strategies: tuple[tuple[Strategy, ...], ...]
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
+    # Per-agent integer payoff rows, filled on first use by _payoff_rows.
+    # Excluded from init, so dataclasses.replace starts an empty cache.
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_agents(self) -> int:
@@ -157,20 +166,77 @@ def dominates(
     return True
 
 
+def _payoff_rows(game: Game, a: int) -> list[list[int]]:
+    """Agent ``a``'s utilities as ints, one row per own strategy.
+
+    Column ``j`` of a row is the opponent profile whose mixed-radix digits
+    (opponents in declaration order, last one fastest) are its strategy
+    indices.  Every utility is scaled by the agent's common denominator,
+    which keeps the order exact.
+    """
+    rows = game._rows.get(a)
+    if rows is None:
+        axes = list(game.strategies)
+        utilities = []
+        for s in game.strategies[a]:
+            axes[a] = (s,)
+            utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
+        den = math.lcm(*(u.denominator for row in utilities for u in row))
+        rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
+        game._rows[a] = rows
+    return rows
+
+
+def _scene_columns(game: Game, scene: ReasoningScene) -> list[int]:
+    """Payoff-row columns of the opponent profiles ``scene`` allows."""
+    columns = [0]
+    for b, space in enumerate(game.strategies):
+        if b == scene.owner:
+            continue
+        allowed = scene.opponents[b]
+        picked = [i for i, s in enumerate(space) if s in allowed]
+        if not picked or len(picked) != len(allowed):
+            raise ForeignStrategy(
+                f"opponent set for agent {b} is empty or leaves its space"
+            )
+        columns = [c * len(space) + i for c in columns for i in picked]
+    return columns
+
+
 def rational_response(
     game: Game, a: int, scene: ReasoningScene, cap: int = DEFAULT_PROFILE_CAP
 ) -> frozenset:
-    """Undominated strategies of ``a`` in ``scene``; never empty."""
+    """Undominated strategies of ``a`` in ``scene``; never empty.
+
+    Utility games are solved on the agent's integer payoff table (at most
+    ``cap`` cells, else SizeCap); compare-only games by pairwise
+    :func:`dominates` checks.
+    """
     if scene.owner != a:
         raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
     space = game.strategies[a]
-    survivors = []
-    for s in space:
-        if not any(
-            s2 is not s and dominates(game, a, scene, s, s2, cap) for s2 in space
-        ):
-            survivors.append(s)
-    return frozenset(survivors)
+    if game.utility is None:
+        survivors = []
+        for s in space:
+            if not any(
+                s2 is not s and dominates(game, a, scene, s, s2, cap) for s2 in space
+            ):
+                survivors.append(s)
+        return frozenset(survivors)
+    cells = math.prod(len(sp) for sp in game.strategies)
+    if cells > cap:
+        raise SizeCap(f"payoff table of agent {a} has {cells} cells (cap {cap})")
+    columns = _scene_columns(game, scene)
+    vectors = [list(map(row.__getitem__, columns)) for row in _payoff_rows(game, a)]
+    # A strict dominator has a larger sum, and a dominated strategy always
+    # has an undominated dominator, so checking each vector against the
+    # undominated ones already kept, in order of decreasing sum, is exact.
+    kept: list[int] = []
+    for i in sorted(range(len(space)), key=lambda i: sum(vectors[i]), reverse=True):
+        v = vectors[i]
+        if not any(all(map(operator.gt, vectors[k], v)) for k in kept):
+            kept.append(i)
+    return frozenset(space[i] for i in kept)
 
 
 def _agent_names(count: int) -> tuple[str, ...]:

@@ -17,8 +17,6 @@ from .graph import NO_NODE, RbrGraph
 # One frozenset of strategies per node, indexed by NodeId.
 Solution = tuple
 
-_scene_cache_key = tuple
-
 
 def check_compatible(g: RbrGraph, game: Game) -> None:
     if g.agents != game.agents:

@@ -117,3 +117,14 @@ def test_export_dot(paths, capsys):
 
 def test_bad_game_spec_is_usage_error(paths, capsys):
     assert main(["solve", paths["b1"], "guess23:2:10"]) == 2
+    for spec in ["gk:x", "gk:", "gk:2:3", "guess23:3", "guess23:3:x", "guess23:a:10"]:
+        assert main(["solve", paths["b1"], spec]) == 2
+        assert "malformed game spec" in capsys.readouterr().err
+
+
+def test_oversized_game_hits_size_cap(paths, capsys):
+    # 101 strategies against 101 x 101 opponent profiles: 1030301 table
+    # cells, over the default cap of 10**6.
+    assert main(["solve", paths["b1"], "guess23:3:101"]) == 2
+    err = capsys.readouterr().err
+    assert "1030301 cells" in err and "cap 1000000" in err

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from rbr import (
     make_scene,
     make_sequence_game,
     rational_response,
+    rational_solution,
+    utility_game,
 )
-from rbr.errors import SceneOwnerMismatch, TooFewAgents
-from rbr.games import Quit, alternating_sequences
+from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
+from rbr.games import Quit, ReasoningScene, alternating_sequences
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,63 @@ def test_scene_owner_checked(guess):
 def test_singleton_space_survives():
     g = make_guess_average_game(3, 1)
     assert rational_response(g, 0, full_scene(g, 0)) == {1}
+
+
+def test_single_opponent_profile_keeps_the_best_replies(guess):
+    # Against one profile strict dominance is "strictly worse there", so
+    # the response is the set of best replies, ties included.
+    assert rational_response(guess, 0, make_scene(guess, 0, {1: {9}, 2: {8}})) == {6}
+    g = utility_game(
+        ["a", "b"],
+        [(0, 1, 2, 3), ("x",)],
+        lambda a, o: -abs(2 * o[0] - 3) if a == 0 else 0,
+    )
+    assert rational_response(g, 0, full_scene(g, 0)) == {1, 2}
+
+
+def test_one_agent_game():
+    solo = make_binary_game(["a"])
+    assert rational_response(solo, 0, full_scene(solo, 0)) == {1}
+    g = utility_game(["a"], [(0, 1, 2)], lambda a, o: Fraction(min(o[0], 1), 2))
+    assert rational_response(g, 0, full_scene(g, 0)) == {1, 2}
+
+
+def test_payoff_table_size_cap(guess):
+    scene = full_scene(guess, 0)
+    assert rational_response(guess, 0, scene, cap=1000) == set(range(1, 8))
+    with pytest.raises(SizeCap):
+        rational_response(guess, 0, scene, cap=999)
+
+
+def test_scene_outside_the_space_is_rejected(guess):
+    scene = ReasoningScene(0, (frozenset(), frozenset({11}), frozenset({1})))
+    with pytest.raises(ForeignStrategy):
+        rational_response(guess, 0, scene)
+
+
+def test_replaced_game_gets_a_fresh_payoff_table():
+    game = make_guess_average_game(3, 10)
+    scene = full_scene(game, 0)
+    assert rational_response(game, 0, scene) == set(range(1, 8))
+    flipped = dataclasses.replace(
+        game,
+        compare=lambda a, s, s2: game.compare(a, s2, s),
+        utility=lambda a, o: -game.utility(a, o),
+    )
+    assert rational_response(flipped, 0, scene) == {1, 2, 3, 10}
+
+
+def test_utility_evaluated_once_per_table_cell(b1):
+    game = make_guess_average_game(3, 10, agents=("a", "b", "c"))
+    calls = []
+
+    def utility(a, o):
+        calls.append((a, o))
+        return game.utility(a, o)
+
+    counted = dataclasses.replace(game, utility=utility)
+    assert rational_solution(b1, counted).solution == (frozenset({1}),) * 3
+    assert len(calls) == len(set(calls)) == 3 * 10**3
 
 
 def test_too_few_agents():

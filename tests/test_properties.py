@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from rbr import (
+    Game,
     belief_hierarchy_bounded,
     finest_partition,
     full_solution,
@@ -18,11 +22,13 @@ from rbr import (
     make_guess_average_game,
     make_sequence_game,
     minimise,
+    parse_game,
     rational_solution,
     rationalise,
     refine_once,
     validate_graph,
 )
+from rbr.oracle import brute_force_rational_solution
 from rbr.solve import safety_bound
 from .conftest import ABC
 
@@ -148,3 +154,68 @@ def test_minimise_sound_and_canonical(g):
     out = minimise(g).output
     assert is_canonical(out)
     assert graphs_equivalent(g, out)
+
+
+BUILTIN_GAMES = {
+    "guess23": lambda: make_guess_average_game(3, 6, agents=ABC),
+    "gk:2": lambda: make_sequence_game(ABC, 2),
+    "gk:3": lambda: make_sequence_game(ABC, 3),
+    "binary": lambda: make_binary_game(ABC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GAMES))
+@given(g=graphs())
+@settings(max_examples=25, deadline=None)
+def test_builtin_game_solution_matches_oracle(name, g):
+    game = BUILTIN_GAMES[name]()
+    assert rational_solution(g, game).solution == brute_force_rational_solution(g, game)
+
+
+@st.composite
+def table_games(draw, agents):
+    """A ``game normal-form`` document with small rationals of mixed
+    denominators, so negatives and ties are common."""
+    spaces = [[f"s{i}" for i in range(draw(st.integers(1, 3)))] for _ in agents]
+    lines = ["game normal-form", "agents " + " ".join(agents)]
+    lines += [f"strategies {name}: {' '.join(sp)}" for name, sp in zip(agents, spaces)]
+    for name in agents:
+        for profile in itertools.product(*spaces):
+            num = draw(st.integers(-3, 3))
+            den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+            lines.append(f"utility {name} {' '.join(profile)} {num}/{den}")
+    return parse_game("\n".join(lines) + "\n")
+
+
+@st.composite
+def pareto_games(draw, agents):
+    """A compare-only game: each agent ranks outcomes by the Pareto order
+    on two criteria, so many outcomes are incomparable."""
+    spaces = tuple(tuple(range(draw(st.integers(1, 3)))) for _ in agents)
+    scores = {
+        (a, o): draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        for a in range(len(agents))
+        for o in itertools.product(*spaces)
+    }
+
+    def compare(a, s, s2):
+        x, y = scores[a, s], scores[a, s2]
+        if x == y:
+            return 0
+        if x[0] >= y[0] and x[1] >= y[1]:
+            return 1
+        if x[0] <= y[0] and x[1] <= y[1]:
+            return -1
+        return None
+
+    return Game(agents=tuple(agents), strategies=spaces, compare=compare)
+
+
+@pytest.mark.parametrize("games", [table_games, pareto_games])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_game_solution_matches_oracle(games, data):
+    num_agents = data.draw(st.integers(2, 3))
+    g = data.draw(graphs(num_agents=num_agents))
+    game = data.draw(games(ABC[:num_agents]))
+    assert rational_solution(g, game).solution == brute_force_rational_solution(g, game)
