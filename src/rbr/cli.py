@@ -14,10 +14,11 @@ from .errors import NonTermination, RbrError
 from .formats import export_dot, parse_game, read_graph, serialize_rbr
 from .games import Game, make_binary_game, make_guess_average_game, make_sequence_game
 from .games import strategy_label
-from .graph import NO_NODE, RbrGraph
+from .graph import RbrGraph
 from .minimize import minimise
 from .partition import finest_partition, disjoint_union
-from .solve import doxastic_rationalisability, rational_solution
+from .solve import _designated_entries, rational_solution
+from .solve import doxastic_rationalisability  # unused here; perfbench/tracing.py patches it
 from . import __version__
 
 
@@ -116,10 +117,10 @@ def cmd_equiv(args) -> int:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     game = _resolve_game(args.game, g)
+    report = rational_solution(
+        g, game, keep_trace=args.trace, max_iterations=args.max_iterations
+    )
     if args.trace:
-        report = rational_solution(
-            g, game, keep_trace=True, max_iterations=args.max_iterations
-        )
         rounds = len(report.trace) - 1
         cells = [
             [_set_text(game, g.labels[n], report.trace[i][n]) for i in range(1, rounds + 1)]
@@ -134,9 +135,8 @@ def cmd_solve(args) -> int:
         for n in g.nodes():
             row = " ".join(f"{cells[n][i]:>{widths[i]}}" for i in range(rounds))
             print(f"{g.node_names[n]:<{name_w}} {row}")
-    result = doxastic_rationalisability(g, game)
-    for a in range(g.num_agents):
-        print(f"agent {g.agents[a]}: {_set_text(game, a, result[a])}")
+    for a, entry in enumerate(_designated_entries(g, game, report.solution)):
+        print(f"agent {g.agents[a]}: {_set_text(game, a, entry)}")
     return 0
 
 

@@ -14,7 +14,7 @@ import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
 
@@ -166,6 +166,13 @@ def dominates(
     return True
 
 
+def _check_cells(what: str, cells: int, cap: int) -> None:
+    """Raise SizeCap when ``what``, a payoff table of ``cells`` cells, is
+    over ``cap``."""
+    if cells > cap:
+        raise SizeCap(f"{what} has {cells} cells (cap {cap})")
+
+
 def _payoff_rows(game: Game, a: int) -> list[list[int]]:
     """Agent ``a``'s utilities as ints, one row per own strategy.
 
@@ -224,8 +231,7 @@ def rational_response(
                 survivors.append(s)
         return frozenset(survivors)
     cells = math.prod(len(sp) for sp in game.strategies)
-    if cells > cap:
-        raise SizeCap(f"payoff table of agent {a} has {cells} cells (cap {cap})")
+    _check_cells(f"payoff table of agent {a}", cells, cap)
     columns = _scene_columns(game, scene)
     vectors = [list(map(row.__getitem__, columns)) for row in _payoff_rows(game, a)]
     # A strict dominator has a larger sum, and a dominated strategy always
@@ -262,6 +268,11 @@ def make_guess_average_game(
         agents = _agent_names(agent_count)
     elif len(agents) != agent_count:
         raise TooFewAgents("agent name list does not match the agent count")
+    _check_cells(
+        f"guess23:{agent_count}:{max_int} payoff table",
+        max_int**agent_count,
+        DEFAULT_PROFILE_CAP,
+    )
     space = tuple(range(1, max_int + 1))
 
     def utility(a: int, outcome: Outcome) -> Fraction:
@@ -281,13 +292,25 @@ class Quit:
 
 def alternating_sequences(num_agents: int, a: int, k: int) -> frozenset[tuple[int, ...]]:
     """Nonempty alternating agent sequences of length <= k starting with ``a``."""
-    if k <= 0:
-        return frozenset()
-    out = {(a,)}
-    for b in range(num_agents):
-        if b != a:
-            out.update((a,) + s for s in alternating_sequences(num_agents, b, k - 1))
+    out: list[tuple[int, ...]] = []
+    layer = [(a,)] if k > 0 else []
+    while layer:
+        out.extend(layer)
+        if len(layer[0]) == k:
+            break
+        layer = [s + (b,) for s in layer for b in range(num_agents) if b != s[-1]]
     return frozenset(out)
+
+
+def _sequence_space_sizes(num_agents: int) -> Iterator[int]:
+    """Strategies per agent in the sequence game for k = 1, 2, ...: Quit
+    plus (num_agents - 1)**(l - 1) alternating sequences of each length
+    l <= k."""
+    size, layer = 1, 1
+    while True:
+        size += layer
+        yield size
+        layer *= num_agents - 1
 
 
 def make_sequence_game(agents: Sequence[str], k: int) -> Game:
@@ -302,6 +325,14 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     if k < 1:
         raise TooFewAgents("sequence length bound must be positive")
     num = len(agents)
+    # The table grows with the length bound, so checking each bound up to
+    # k stops at the first one over the cap, before any space is built.
+    for length, size in zip(range(1, k + 1), _sequence_space_sizes(num)):
+        _check_cells(
+            f"gk:{k} payoff table over sequences up to length {length}",
+            size**num,
+            DEFAULT_PROFILE_CAP,
+        )
     spaces = []
     for a in range(num):
         seqs = sorted(alternating_sequences(num, a, k))

@@ -24,52 +24,40 @@ class MinimisationReport:
 def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
     """Collapse each block of the finest partition ``p`` into one node.
 
-    Blocks become nodes in smallest-member order, every input edge maps
-    to a block edge, labels and designations carry over.  A partition
-    that one more refinement pass would still split is rejected.
+    Block k becomes node k (blocks are numbered by smallest member) and
+    takes its label and name from that member; every input edge maps to
+    a block edge, and designations carry over.  A partition that one more
+    refinement pass would still split, or one numbered otherwise, is
+    rejected.
     """
     if refine_once(g, p) != p:
         raise NotFinest("partition is not refinement-stable")
+    return _quotient_graph(g, p)
 
-    blocks = p.blocks()
-    reps = [min(members) for members in blocks]
-    order = sorted(range(p.block_count), key=reps.__getitem__)
-    new_id = [0] * p.block_count
-    for i, k in enumerate(order):
-        new_id[k] = i
 
-    labels = [0] * p.block_count
-    names = [""] * p.block_count
-    for k in order:
-        labels[new_id[k]] = g.labels[reps[k]]
-        names[new_id[k]] = g.node_names[reps[k]]
-    edges = {
-        (new_id[p.block_of[n]], new_id[p.block_of[m]]) for n, m in g.edges()
-    }
+def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
+    """:func:`quotient` without its stability check."""
+    firsts = [members[0] for members in p.blocks()]
+    edges = {(p.block_of[n], p.block_of[m]) for n, m in g.edges()}
     designation = {
-        a: new_id[p.block_of[n]]
-        for a, n in enumerate(g.designated)
-        if n != NO_NODE
+        a: p.block_of[n] for a, n in enumerate(g.designated) if n != NO_NODE
     }
     return validate_graph(
         g.agents,
         p.block_count,
-        labels,
+        [g.labels[n] for n in firsts],
         sorted(edges),
         designation,
-        node_names=names,
+        node_names=[g.node_names[n] for n in firsts],
     )
 
 
 def minimise(g: RbrGraph) -> MinimisationReport:
     """Minimal equivalent canonical form of ``g`` with the witnessing
-    block map."""
+    block map; the refinement that found the partition already proved
+    it stable, so the quotient skips the check."""
     p, rounds = _finest_with_rounds(g)
-    out = quotient(g, p)
-    reps = [min(members) for members in p.blocks()]
-    order = sorted(range(p.block_count), key=reps.__getitem__)
-    new_id = [0] * p.block_count
-    for i, k in enumerate(order):
-        new_id[k] = i
-    block_map = tuple(new_id[p.block_of[n]] for n in g.nodes())
-    return MinimisationReport(output=out, block_map=block_map, refinement_rounds=rounds)
+    out = _quotient_graph(g, p)
+    return MinimisationReport(
+        output=out, block_map=p.block_of, refinement_rounds=rounds
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AgentUniverseMismatch, SizeCap
-from .games import Game, make_sequence_game
+from .games import DEFAULT_PROFILE_CAP, Game, _sequence_space_sizes, make_sequence_game
 from .graph import NO_NODE, RbrGraph
 
 DEFAULT_DEPTH_CAP = 12
@@ -100,17 +100,18 @@ def gk_distinguisher(
         raise AgentUniverseMismatch((ga.agents, gb.agents))
     ga.check_node(na)
     gb.check_node(nb)
-    for k in range(1, k_max + 1):
+    num = len(ga.agents)
+    for k, size in zip(range(1, k_max + 1), _sequence_space_sizes(num)):
         if brute_force_hierarchy(ga, na, k) != brute_force_hierarchy(gb, nb, k):
-            if len(ga.agents) >= 2:
+            # Certification replays the whole game; skip it, without
+            # building the game, when the strategy spaces are too large
+            # for nested-loop solving or the payoff table is over the cap.
+            if num >= 2 and num * size <= 150 and size**num <= DEFAULT_PROFILE_CAP:
                 game = make_sequence_game(ga.agents, k)
-                # Certification replays the whole game; skip it when the
-                # strategy spaces are too large for nested-loop solving.
-                if sum(len(sp) for sp in game.strategies) <= 150:
-                    sa = brute_force_rational_solution(ga, game)
-                    sb = brute_force_rational_solution(gb, game)
-                    assert sa[na] != sb[nb], (
-                        "hierarchy witness not visible in the game"
-                    )
+                sa = brute_force_rational_solution(ga, game)
+                sb = brute_force_rational_solution(gb, game)
+                assert sa[na] != sb[nb], (
+                    "hierarchy witness not visible in the game"
+                )
             return k
     return None

@@ -85,25 +85,11 @@ def refine_once(g: RbrGraph, p: Partition) -> Partition:
     """Split blocks of ``p`` by type vector.
 
     Two nodes stay together iff they share a block in ``p`` and have
-    equal type vectors.  Nodes are ordered by a stable sorting pass per
-    agent index and a final pass on the old block, then renumbered by a
-    single scan.
+    equal type vectors; the type vector carries the node's own block, so
+    grouping by it alone is exact.
     """
     _check_label_respecting(g, p)
-    tv = [type_vector(g, p, n) for n in g.nodes()]
-    order = list(g.nodes())
-    for a in range(g.num_agents - 1, -1, -1):
-        order.sort(key=lambda n: tv[n][a])
-    order.sort(key=lambda n: p.block_of[n])
-
-    raw = [0] * g.num_nodes
-    key = 0
-    for pos, n in enumerate(order):
-        prev = order[pos - 1]
-        if pos > 0 and (p.block_of[n] != p.block_of[prev] or tv[n] != tv[prev]):
-            key += 1
-        raw[n] = key
-    return _normalise(raw)
+    return _normalise([type_vector(g, p, n) for n in g.nodes()])
 
 
 def finest_partition(g: RbrGraph) -> Partition:
@@ -162,11 +148,15 @@ def graphs_equivalent(ga: RbrGraph, gb: RbrGraph) -> bool:
     if ga.designation_domain() != gb.designation_domain():
         return False
     p = finest_partition(disjoint_union(ga, gb))
-    off = ga.num_nodes
-    return all(
-        p.same_block(ga.designated[a], off + gb.designated[a])
-        for a in ga.designation_domain()
+    return _designated_images(ga, p.block_of) == _designated_images(
+        gb, p.block_of[ga.num_nodes :]
     )
+
+
+def _designated_images(g: RbrGraph, image: Sequence[int]) -> list:
+    """Per agent, the image (block or partner) of its designated node, or
+    None without one."""
+    return [None if n == NO_NODE else image[n] for n in g.designated]
 
 
 def is_canonical(g: RbrGraph) -> bool:
@@ -194,34 +184,25 @@ def check_local_isomorphism(
         target = {m for m in gb.succ[alpha[n]] if m != NO_NODE}
         if image != target:
             return False
-    if ga.designation_domain() != gb.designation_domain():
-        return False
-    return all(
-        alpha[ga.designated[a]] == gb.designated[a]
-        for a in ga.designation_domain()
-    )
+    return _designated_images(ga, alpha) == _designated_images(gb, gb.nodes())
 
 
 def find_isomorphism(ga: RbrGraph, gb: RbrGraph) -> tuple[int, ...] | None:
     """Bijection pairing hierarchy-equal nodes of two canonical graphs,
-    or None when the graphs are not equivalent."""
-    for g in (ga, gb):
-        if not is_canonical(g):
-            raise NotCanonical("both graphs must be canonical")
-    if not graphs_equivalent(ga, gb):
-        return None
-    if ga.num_nodes != gb.num_nodes:
-        return None
+    or None when the graphs are not equivalent.
+
+    Everything is read off one finest partition of the disjoint union,
+    whose restriction to each side is that side's own finest partition.
+    Graphs over different agent universes raise AgentUniverseMismatch,
+    before canonicity is checked.
+    """
     p = finest_partition(disjoint_union(ga, gb))
-    partner: dict[int, int] = {}
-    for m in gb.nodes():
-        partner[p.block_of[ga.num_nodes + m]] = m
-    alpha = []
-    for n in ga.nodes():
-        m = partner.get(p.block_of[n])
-        if m is None:
-            return None
-        alpha.append(m)
-    if len(set(alpha)) != gb.num_nodes:
+    side_a, side_b = p.block_of[: ga.num_nodes], p.block_of[ga.num_nodes :]
+    if len(set(side_a)) != ga.num_nodes or len(set(side_b)) != gb.num_nodes:
+        raise NotCanonical("both graphs must be canonical")
+    if _designated_images(ga, side_a) != _designated_images(gb, side_b):
         return None
-    return tuple(alpha)
+    if set(side_a) != set(side_b):
+        return None
+    partner = {k: m for m, k in enumerate(side_b)}
+    return tuple(partner[k] for k in side_a)

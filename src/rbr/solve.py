@@ -132,12 +132,13 @@ def rational_solution(
 def doxastic_rationalisability(g: RbrGraph, game: Game) -> tuple:
     """Predicted play: rational-solution entries at designated nodes, the
     full space for agents with no designated node."""
-    report = rational_solution(g, game)
-    out = []
-    for a in range(g.num_agents):
-        n = g.designated[a]
-        if n != NO_NODE:
-            out.append(report.solution[n])
-        else:
-            out.append(frozenset(game.strategies[a]))
-    return tuple(out)
+    return _designated_entries(g, game, rational_solution(g, game).solution)
+
+
+def _designated_entries(g: RbrGraph, game: Game, s: Solution) -> tuple:
+    """Per agent, the entry of ``s`` at its designated node, or its full
+    strategy space when it has none."""
+    return tuple(
+        s[n] if n != NO_NODE else frozenset(game.strategies[a])
+        for a, n in enumerate(g.designated)
+    )

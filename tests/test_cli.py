@@ -122,6 +122,43 @@ def test_bad_game_spec_is_usage_error(paths, capsys):
         assert "malformed game spec" in capsys.readouterr().err
 
 
+def test_solve_honours_max_iterations(paths, capsys):
+    argv = ["solve", paths["b1"], "guess23:3:10", "--max-iterations", "0"]
+    for extra in ([], ["--trace"]):
+        assert main(argv + extra) == 3
+        assert "no fixpoint within 0" in capsys.readouterr().err
+
+
+def test_solve_trace_runs_one_fixpoint(paths, capsys, monkeypatch):
+    import rbr.solve
+
+    calls = []
+    original = rbr.solve.rationalise
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rbr.solve, "rationalise", counted)
+    assert main(["solve", paths["b1"], "guess23:3:10"]) == 0
+    plain = len(calls)
+    plain_out = capsys.readouterr().out
+    assert main(["solve", paths["b1"], "guess23:3:10", "--trace"]) == 0
+    assert len(calls) - plain == plain > 0
+    assert capsys.readouterr().out.endswith(plain_out)
+
+
+def test_oversized_sequence_spec_is_rejected_unbuilt(paths, capsys, monkeypatch):
+    def no_sequences(*args):
+        raise AssertionError("sequence spaces built before the size check")
+
+    monkeypatch.setattr("rbr.games.alternating_sequences", no_sequences)
+    assert main(["solve", paths["b1"], "gk:30"]) == 2
+    assert f"gk:30 payoff table over sequences up to length 7 has {2**21} cells" in (
+        capsys.readouterr().err
+    )
+
+
 def test_oversized_game_hits_size_cap(paths, capsys):
     # 101 strategies against 101 x 101 opponent profiles: 1030301 table
     # cells, over the default cap of 10**6.

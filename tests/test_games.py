@@ -84,6 +84,30 @@ def test_payoff_table_size_cap(guess):
         rational_response(guess, 0, scene, cap=999)
 
 
+def test_builtin_games_are_size_checked_before_construction(monkeypatch):
+    # 101**3 = 1030301 cells: rejected from the arguments alone.
+    with pytest.raises(SizeCap, match="1030301 cells"):
+        make_guess_average_game(3, 101)
+    make_guess_average_game(3, 100)
+
+    def no_sequences(*args):
+        raise AssertionError("sequence spaces built before the size check")
+
+    monkeypatch.setattr("rbr.games.alternating_sequences", no_sequences)
+    # Three agents: 2**l strategies each up to length l, so the check
+    # stops at length 7, the first with (2**7)**3 cells over the cap.
+    for k in (30, 10**9):
+        with pytest.raises(SizeCap, match=f"up to length 7 has {2**21} cells"):
+            make_sequence_game(["a", "b", "c"], k)
+
+
+def test_long_two_agent_sequence_space():
+    # One sequence per length; built without deep recursion.
+    game = make_sequence_game(["a", "b"], 999)
+    assert len(game.strategies[0]) == 1000
+    assert max(len(s) for s in game.strategies[1][1:]) == 999
+
+
 def test_scene_outside_the_space_is_rejected(guess):
     scene = ReasoningScene(0, (frozenset(), frozenset({11}), frozenset({1})))
     with pytest.raises(ForeignStrategy):

@@ -13,6 +13,7 @@ from rbr import (
 )
 from rbr.errors import NotFinest
 from rbr.minimize import quotient
+from rbr.partition import Partition
 from rbr.oracle import brute_force_hierarchy
 from .conftest import ABC
 
@@ -30,6 +31,13 @@ def test_quotient_requires_finest():
     g = validate_graph(ABC, 3, [0, 1, 0], [(0, 1), (1, 2)], {0: 0})
     with pytest.raises(NotFinest):
         quotient(g, initial_partition(g))
+
+
+def test_quotient_requires_smallest_member_numbering(b3):
+    # Stable, but block k must be the block whose smallest member is the
+    # k-th smallest, as refine_once numbers them.
+    with pytest.raises(NotFinest):
+        quotient(b3, Partition(block_of=(1, 0, 2), block_count=3))
 
 
 def test_quotient_identity_on_canonical(b3):
@@ -67,6 +75,28 @@ def test_minimise_contract_on_corpus(corpus):
         again = minimise(out)
         assert find_isomorphism(again.output, out) is not None
         assert serialize_rbr(minimise(g).output) == serialize_rbr(out)
+
+
+def test_minimise_reuses_the_finest_partition(corpus, monkeypatch):
+    import rbr.minimize
+    import rbr.partition
+
+    calls = []
+    original = rbr.partition.refine_once
+
+    def counted(g, p):
+        calls.append(1)
+        return original(g, p)
+
+    monkeypatch.setattr(rbr.partition, "refine_once", counted)
+    monkeypatch.setattr(rbr.minimize, "refine_once", counted)
+    for g in corpus:
+        p = finest_partition(g)
+        calls.clear()
+        report = minimise(g)
+        assert report.block_map == p.block_of
+        # The fixpoint's confirming pass proves stability; no further pass.
+        assert len(calls) == report.refinement_rounds + 1
 
 
 def test_hierarchy_multiset_preserved(corpus):

@@ -83,3 +83,21 @@ def test_distinguisher_agrees_with_partition(b1, b2, b3, b4, corpus3):
                     assert (found is None) == nodes_doxastically_equivalent(
                         ga, na, gb, nb
                     )
+
+
+def _chain(agents, length):
+    """Path of ``length`` nodes whose labels cycle through ``agents``."""
+    from rbr import validate_graph
+
+    labels = [i % len(agents) for i in range(length)]
+    edges = [(i, i + 1) for i in range(length - 1)]
+    return validate_graph(agents, length, labels, edges, {0: 0})
+
+
+def test_distinguisher_skips_games_too_large_to_certify():
+    # Chains one node apart first differ at the longer chain's length;
+    # there the sequence game is over the payoff-table cap, so the depth
+    # is returned uncertified.
+    for agents, length in ((ABC, 7), (("a", "b", "c", "d"), 4)):
+        ga, gb = _chain(agents, length - 1), _chain(agents, length)
+        assert gk_distinguisher(ga, 0, gb, 0, length + 1) == length

@@ -105,6 +105,29 @@ def test_find_isomorphism(b3, b4, b5):
 def test_find_isomorphism_rejects_non_canonical(b3, b5):
     with pytest.raises(NotCanonical):
         find_isomorphism(b5, b3)
+    # Different agent universes are reported before canonicity.
+    other = validate_graph(("a", "b"), 1, [0], [], {0: 0})
+    with pytest.raises(AgentUniverseMismatch):
+        find_isomorphism(b5, other)
+
+
+def test_find_isomorphism_builds_one_partition(b3, b5, monkeypatch):
+    import rbr.partition
+
+    calls = []
+    original = rbr.partition.initial_partition
+
+    def counted(g):
+        calls.append(g.num_nodes)
+        return original(g)
+
+    monkeypatch.setattr(rbr.partition, "initial_partition", counted)
+    assert find_isomorphism(b3, b3) == (0, 1, 2)
+    assert calls == [6]
+    calls.clear()
+    with pytest.raises(NotCanonical):
+        find_isomorphism(b5, b3)
+    assert calls == [10]
 
 
 def test_refinement_chain_properties(corpus):
