@@ -127,9 +127,10 @@ def cmd_solve(args) -> int:
             for n in g.nodes()
         ]
         widths = [
-            max(len(cells[n][i]) for n in g.nodes()) for i in range(rounds)
+            max((len(cells[n][i]) for n in g.nodes()), default=0)
+            for i in range(rounds)
         ]
-        name_w = max(len(name) for name in g.node_names)
+        name_w = max(map(len, g.node_names), default=0)
         header = " ".join(f"{i + 1:>{widths[i]}}" for i in range(rounds))
         print(f"{'node':<{name_w}} {header}")
         for n in g.nodes():

@@ -28,7 +28,9 @@ def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
     takes its label and name from that member; every input edge maps to
     a block edge, and designations carry over.  A partition that one more
     refinement pass would still split, or one numbered otherwise, is
-    rejected.
+    rejected.  Reachability is not re-checked: block images of paths are
+    paths, so the quotient of a reachable graph is reachable, and a graph
+    built without it, such as a disjoint union, has a quotient too.
     """
     if refine_once(g, p) != p:
         raise NotFinest("partition is not refinement-stable")
@@ -36,9 +38,20 @@ def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
 
 
 def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
-    """:func:`quotient` without its stability check."""
+    """:func:`quotient` without its stability check.
+
+    Block k's edges are those of its first member; on a stable partition
+    every member's edges map to the same block edges.  On a partition one
+    more pass would split, the result is the graph of first members, which
+    :func:`rbr.solve.rational_solution` runs its early rounds on.
+    """
     firsts = [members[0] for members in p.blocks()]
-    edges = {(p.block_of[n], p.block_of[m]) for n, m in g.edges()}
+    edges = [
+        (k, p.block_of[m])
+        for k, n in enumerate(firsts)
+        for m in g.succ[n]
+        if m != NO_NODE
+    ]
     designation = {
         a: p.block_of[n] for a, n in enumerate(g.designated) if n != NO_NODE
     }
@@ -46,16 +59,18 @@ def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
         g.agents,
         p.block_count,
         [g.labels[n] for n in firsts],
-        sorted(edges),
+        edges,
         designation,
         node_names=[g.node_names[n] for n in firsts],
+        require_reachable=False,
     )
 
 
 def minimise(g: RbrGraph) -> MinimisationReport:
     """Minimal equivalent canonical form of ``g`` with the witnessing
     block map; the refinement that found the partition already proved
-    it stable, so the quotient skips the check."""
+    it stable, so the quotient skips the check.  Like :func:`quotient`,
+    it accepts graphs built without reachability."""
     p, rounds = _finest_with_rounds(g)
     out = _quotient_graph(g, p)
     return MinimisationReport(

@@ -44,12 +44,8 @@ class Partition:
 def _normalise(raw: Sequence) -> Partition:
     """Renumber arbitrary block keys densely by first occurrence."""
     seen: dict = {}
-    block_of = []
-    for key in raw:
-        if key not in seen:
-            seen[key] = len(seen)
-        block_of.append(seen[key])
-    return Partition(block_of=tuple(block_of), block_count=len(seen))
+    block_of = tuple([seen.setdefault(key, len(seen)) for key in raw])
+    return Partition(block_of=block_of, block_count=len(seen))
 
 
 def initial_partition(g: RbrGraph) -> Partition:
@@ -64,32 +60,21 @@ def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
             raise LabelMixingPartition(f"block {k} mixes labels")
 
 
-def type_vector(g: RbrGraph, p: Partition, n: int) -> tuple[int, ...]:
-    """Per-agent successor-block signature of node ``n`` under ``p``.
-
-    Entry a is the block of the a-successor; the node's own label slot
-    carries its negated block, and missing successors the out-of-range
-    placeholder ``block_count``.
-    """
-    row = g.succ[n]
-    own = g.labels[n]
-    return tuple(
-        -p.block_of[n]
-        if a == own
-        else (p.block_of[row[a]] if row[a] != NO_NODE else p.block_count)
-        for a in range(g.num_agents)
-    )
-
-
 def refine_once(g: RbrGraph, p: Partition) -> Partition:
-    """Split blocks of ``p`` by type vector.
+    """Split blocks of ``p`` by successor blocks.
 
-    Two nodes stay together iff they share a block in ``p`` and have
-    equal type vectors; the type vector carries the node's own block, so
-    grouping by it alone is exact.
+    Each node's key is its own block followed by the block of its
+    a-successor for every agent a, with the out-of-range placeholder
+    ``block_count`` where there is none.  The own-label slot always holds
+    the placeholder, since a node has no successor of its own agent.  Two
+    nodes stay together iff their keys are equal, that is, iff they share
+    a block in ``p`` and their successors per agent share blocks too.
     """
     _check_label_respecting(g, p)
-    return _normalise([type_vector(g, p, n) for n in g.nodes()])
+    bo = p.block_of + (p.block_count,)  # NO_NODE (-1) reads the placeholder
+    # Built one agent column at a time, so the per-node work runs in C.
+    columns = (map(bo.__getitem__, column) for column in zip(*g.succ))
+    return _normalise(list(zip(p.block_of, *columns)))
 
 
 def finest_partition(g: RbrGraph) -> Partition:

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from .errors import AgentMissingFromGame, InvalidSolution, NonTermination
 from .games import Game, ReasoningScene, rational_response
 from .graph import NO_NODE, RbrGraph
+from .minimize import _quotient_graph
+from . import partition
+from .partition import Partition
 
 # One frozenset of strategies per node, indexed by NodeId.
 Solution = tuple
@@ -110,23 +113,55 @@ def rational_solution(
     ``iterations`` is the first i with R^{i+1} = R^i.  Exceeding the
     safety bound raises NonTermination, which indicates a bug rather
     than a legitimate input condition.
+
+    Nodes alike to depth i of their belief hierarchies, that is, in one
+    block of the label partition refined i times, share their R^i entry.
+    So the round that computes R^{i+1} runs on the graph of first members
+    of the blocks refined i + 1 times, one node per block, and every round
+    is lifted back to ``g``.  Refinement stops at the first pass that
+    splits nothing; the rounds after it run on the quotient by the finest
+    partition.  A solve thus makes at most ``iterations + 1`` refinement
+    passes, however many a full refinement would take.  Solution, trace
+    and round count are those of ``g``.
     """
     check_compatible(g, game)
     bound = safety_bound(g, game) if max_iterations is None else max_iterations
-    current = full_solution(g, game)
-    trace = [current]
+    p = partition.initial_partition(g)
+    q = _quotient_graph(g, p)
+    current = full_solution(q, game)  # one entry per block of p
+    trace = [_lift(current, p)] if keep_trace else None
     memo: dict = {}
+    stable = False
     for i in range(bound + 1):
-        nxt = rationalise(g, game, current, memo)
-        trace.append(nxt)
+        if not stable:
+            # Called through its module, so wrappers installed there see it.
+            finer = partition.refine_once(g, p)
+            stable = finer == p
+            if not stable:
+                current = _per_block(_lift(current, p), finer)
+                p, q = finer, _quotient_graph(g, finer)
+        nxt = rationalise(q, game, current, memo)
+        if trace is not None:
+            trace.append(_lift(nxt, p))
         if nxt == current:
             return RationalSolutionReport(
-                solution=current,
+                solution=_lift(current, p),
                 iterations=i,
-                trace=tuple(trace) if keep_trace else None,
+                trace=None if trace is None else tuple(trace),
             )
         current = nxt
     raise NonTermination(f"no fixpoint within {bound} rationalisation rounds")
+
+
+def _lift(s: Solution, p: Partition) -> Solution:
+    """A solution with one entry per block of ``p`` read onto the nodes."""
+    return tuple(map(s.__getitem__, p.block_of))
+
+
+def _per_block(s: Solution, p: Partition) -> Solution:
+    """One entry per block of ``p`` from a solution constant on its blocks:
+    a dict meets the blocks in order of first member, their numbering."""
+    return tuple(dict(zip(p.block_of, s)).values())
 
 
 def doxastic_rationalisability(g: RbrGraph, game: Game) -> tuple:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rbr import RbrGraph, validate_graph
+from rbr import NO_NODE, RbrGraph, validate_graph
 
 
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -134,6 +134,32 @@ def random_graph(rng: random.Random, max_nodes: int = 6, num_agents: int | None 
         [(remap[s], remap[t]) for s, t in edges if s in reach and t in reach],
         {a: remap[m] for a, m in designation.items()},
     )
+
+
+def blow_up(rng: random.Random, core: RbrGraph, copies: int) -> tuple[RbrGraph, list[int]]:
+    """``copies`` copies of every core node, each edge to a random copy of
+    its core target, and the copy -> core-node map.
+
+    Every copy has its core node's belief hierarchy.  Copy 0 of each
+    designated node is designated; other copies may be unreachable, so
+    reachability is not enforced.
+    """
+    image = [v for v in core.nodes() for _ in range(copies)]
+    edges = [
+        (n, core.succ[v][a] * copies + rng.randrange(copies))
+        for n, v in enumerate(image)
+        for a in range(core.num_agents)
+        if core.succ[v][a] != NO_NODE
+    ]
+    g = validate_graph(
+        core.agents,
+        len(image),
+        [core.labels[v] for v in image],
+        edges,
+        {a: v * copies for a, v in enumerate(core.designated) if v != NO_NODE},
+        require_reachable=False,
+    )
+    return g, image
 
 
 @pytest.fixture(scope="session")

@@ -165,3 +165,13 @@ def test_oversized_game_hits_size_cap(paths, capsys):
     assert main(["solve", paths["b1"], "guess23:3:101"]) == 2
     err = capsys.readouterr().err
     assert "1030301 cells" in err and "cap 1000000" in err
+
+
+def test_solve_trace_on_a_graph_without_nodes(tmp_path, capsys):
+    path = tmp_path / "empty.rbr"
+    path.write_text("agents a b\n")
+    path = str(path)
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", path, "binary", "--trace"]) == 0
+    assert capsys.readouterr().out == "node 1\nagent a: {0,1}\nagent b: {0,1}\n"

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from rbr import (
     export_dot,
@@ -12,11 +14,14 @@ from rbr import (
 from rbr.errors import (
     DuplicateDeclaration,
     DuplicateStrategy,
+    FormatError,
     GraphSyntaxError,
+    GraphValidationError,
     MissingUtilityEntry,
     SelfBelief,
     UnknownIdentifier,
 )
+from .test_properties import graphs
 
 B1_DOC = """\
 # complete three-agent graph
@@ -166,3 +171,52 @@ utility b 1 1 1
 def test_serialize_corpus_round_trip(corpus):
     for g in corpus:
         assert read_graph(serialize_rbr(g)).succ == g.succ
+
+
+@given(graphs())
+@settings(max_examples=60, deadline=None)
+def test_serialize_read_round_trip(g):
+    text = serialize_rbr(g)
+    assert serialize_rbr(read_graph(text)) == text
+
+
+# Lines are a directive word and arguments drawn from names, rationals
+# and the tokens most likely to trip a parser: comments, zero
+# denominators and float spellings.
+DIRECTIVES = ["agents", "node", "edge", "real", "game", "strategies", "utility", "#"]
+ARGUMENTS = ["a", "b", "c", "a:", "b:", "x", "y", "normal-form", "0", "1", "-2",
+             "3/4", "#", "1/0", "nan", "1e3"]
+GRAPH_HEAD = "agents a b\nnode x a\nnode y b\n"
+GAME_HEAD = "game normal-form\nagents a b\nstrategies a: x y\nstrategies b: x\n"
+
+
+@st.composite
+def token_documents(draw, heads):
+    """A random document of token lines, often after a valid head so the
+    parser gets past its first checks."""
+    line = st.tuples(st.sampled_from(DIRECTIVES),
+                     st.lists(st.sampled_from(ARGUMENTS), max_size=4))
+    lines = draw(st.lists(line, max_size=5))
+    return draw(st.sampled_from(heads)) + "".join(
+        f"{word} {' '.join(args)}\n" for word, args in lines
+    )
+
+
+@given(token_documents(["", GRAPH_HEAD]))
+@settings(max_examples=200, deadline=None)
+def test_read_graph_fuzz(text):
+    """Bad graph text fails only as a format or validation error."""
+    try:
+        read_graph(text)
+    except (FormatError, GraphValidationError):
+        pass
+
+
+@given(token_documents(["", "game normal-form\n", GAME_HEAD]))
+@settings(max_examples=200, deadline=None)
+def test_parse_game_fuzz(text):
+    """Bad game text fails only as a format or validation error."""
+    try:
+        parse_game(text)
+    except (FormatError, GraphValidationError):
+        pass

@@ -1,6 +1,7 @@
 import pytest
 
 from rbr import (
+    NO_NODE,
     check_local_isomorphism,
     find_isomorphism,
     finest_partition,
@@ -13,7 +14,7 @@ from rbr import (
 )
 from rbr.errors import NotFinest
 from rbr.minimize import quotient
-from rbr.partition import Partition
+from rbr.partition import Partition, disjoint_union
 from rbr.oracle import brute_force_hierarchy
 from .conftest import ABC
 
@@ -106,3 +107,14 @@ def test_hierarchy_multiset_preserved(corpus):
         before = {brute_force_hierarchy(g, n, depth) for n in g.nodes()}
         after = {brute_force_hierarchy(out, n, depth) for n in out.nodes()}
         assert before == after
+
+
+def test_minimise_of_a_graph_without_reachability(b1, b3, b5):
+    # A disjoint union designates nothing; its quotient keeps that.
+    union = disjoint_union(b1, b3)
+    report = minimise(union)
+    assert report.block_map == tuple(range(6))
+    assert report.output.succ == union.succ
+    assert report.output.designated == (NO_NODE,) * 3
+    # b5's three a/b pairs and b3's one collapse to a single pair.
+    assert minimise(disjoint_union(b5, b3)).block_map == (0, 1, 0, 1, 0, 1, 2, 0, 1, 2)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from rbr import (
@@ -7,6 +10,7 @@ from rbr import (
     nodes_doxastically_equivalent,
     rational_solution,
 )
+import rbr.oracle
 from rbr.errors import SizeCap
 from rbr.oracle import (
     brute_force_hierarchy,
@@ -101,3 +105,20 @@ def test_distinguisher_skips_games_too_large_to_certify():
     for agents, length in ((ABC, 7), (("a", "b", "c", "d"), 4)):
         ga, gb = _chain(agents, length - 1), _chain(agents, length)
         assert gk_distinguisher(ga, 0, gb, 0, length + 1) == length
+
+
+def test_oracle_imports_nothing_from_the_checked_layers():
+    """The oracle-agreement suites compare against ``rbr.oracle``; if it
+    routed through solve, partition or minimize, they would compare the
+    optimised path with itself."""
+    tree = ast.parse(Path(rbr.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("rbr." * bool(node.level) + (node.module or "")).rstrip(".")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    forbidden = ("rbr.solve", "rbr.partition", "rbr.minimize")
+    assert not [m for m in imported for f in forbidden if m == f or m.startswith(f + ".")]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -29,8 +30,10 @@ from rbr import (
     validate_graph,
 )
 from rbr.oracle import brute_force_rational_solution
+import rbr.partition
+import rbr.solve
 from rbr.solve import safety_bound
-from .conftest import ABC
+from .conftest import ABC, blow_up
 
 
 @st.composite
@@ -170,6 +173,69 @@ BUILTIN_GAMES = {
 def test_builtin_game_solution_matches_oracle(name, g):
     game = BUILTIN_GAMES[name]()
     assert rational_solution(g, game).solution == brute_force_rational_solution(g, game)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GAMES))
+@given(g=graphs(), copies=st.integers(1, 3), rng=st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_lifted_trace_matches_node_by_node_rounds(name, g, copies, rng):
+    """Every round of the quotient solve, lifted back, equals the same
+    round of ``iterate``, which rationalises node by node."""
+    game = BUILTIN_GAMES[name]()
+    g, _ = blow_up(rng, g, copies)
+    rep = rational_solution(g, game, keep_trace=True)
+    assert len(rep.trace) == rep.iterations + 2
+    for i, entry in enumerate(rep.trace):
+        assert entry == iterate(g, game, full_solution(g, game), i)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GAMES))
+def test_blow_up_solution_is_the_core_solution_lifted(name, corpus3):
+    game = BUILTIN_GAMES[name]()
+    rng = random.Random(name)
+    for core in corpus3:
+        g, image = blow_up(rng, core, 4)
+        p, core_p = finest_partition(g), finest_partition(core)
+        assert all(p.same_block(n, m) == core_p.same_block(image[n], image[m])
+                   for n in g.nodes() for m in g.nodes())
+        core_solution = brute_force_rational_solution(core, game)
+        assert rational_solution(g, game).solution == tuple(core_solution[v] for v in image)
+
+
+def _chain(length):
+    """Alternating two-agent path: every node has its own hierarchy, and
+    full refinement takes about ``length`` passes."""
+    labels = [i % 2 for i in range(length)]
+    edges = [(i, i + 1) for i in range(length - 1)]
+    return validate_graph(("a", "b"), length, labels, edges, {0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("case", ["blow-up", "chain"])
+def test_rounds_run_on_blocks_refined_as_deep(case, corpus3, monkeypatch):
+    """Round i answers once per block of the label partition refined
+    i + 1 times, and refinement goes no deeper than the rounds need."""
+    if case == "blow-up":
+        core = max(corpus3, key=lambda g: g.num_nodes)
+        g, _ = blow_up(random.Random(3), core, 50)
+        game = make_guess_average_game(3, 6, agents=ABC)
+    else:
+        g = _chain(400)
+        game = make_sequence_game(("a", "b"), 3)
+    depths = [initial_partition(g)]
+    while len(depths) == 1 or depths[-1] != depths[-2]:
+        depths.append(refine_once(g, depths[-1]))
+
+    scenes, passes = [], []
+    for module, name, calls in [(rbr.solve, "belief_scene", scenes),
+                                (rbr.partition, "refine_once", passes)]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original, c=calls: c.append(1) or f(*a))
+    rep = rational_solution(g, game)
+    rounds = rep.iterations + 1
+    assert g.num_nodes >= 200
+    assert len(passes) == min(rounds, len(depths) - 1)
+    deeper = depths[1:] + [depths[-1]] * rounds
+    assert len(scenes) == sum(p.block_count for p in deeper[:rounds]) < rounds * g.num_nodes
 
 
 @st.composite

@@ -12,6 +12,7 @@ from rbr import (
     rationalise,
 )
 from rbr.errors import AgentMissingFromGame, InvalidSolution
+from rbr.partition import disjoint_union
 from rbr.solve import safety_bound
 from .conftest import ABC
 
@@ -110,3 +111,12 @@ def test_doxastic_rationalisability(b1, b2, b4, guess):
         frozenset(range(1, 6)),
         frozenset({1}),
     )
+
+
+def test_rational_solution_of_a_disjoint_union(b1, b3):
+    # The union has no designated nodes, so none of it is reachable.
+    union = disjoint_union(b1, b3)
+    rep = rational_solution(union, make_guess_average_game(3, 6, agents=ABC))
+    low = frozenset({1, 2, 3})
+    assert rep.iterations == 4
+    assert rep.solution == (frozenset({1}),) * 3 + (low, low, frozenset({1, 2}))
