@@ -8,6 +8,7 @@ Subcommands: validate, minimize, equiv, solve, export-dot.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import NonTermination, RbrError
@@ -120,10 +121,12 @@ def cmd_solve(args) -> int:
     report = rational_solution(
         g, game, keep_trace=args.trace, max_iterations=args.max_iterations
     )
+    # Nodes share entries, so each distinct (agent, entry) is formatted once.
+    set_text = functools.cache(functools.partial(_set_text, game))
     if args.trace:
         rounds = len(report.trace) - 1
         cells = [
-            [_set_text(game, g.labels[n], report.trace[i][n]) for i in range(1, rounds + 1)]
+            [set_text(g.labels[n], report.trace[i][n]) for i in range(1, rounds + 1)]
             for n in g.nodes()
         ]
         widths = [
@@ -137,7 +140,7 @@ def cmd_solve(args) -> int:
             row = " ".join(f"{cells[n][i]:>{widths[i]}}" for i in range(rounds))
             print(f"{g.node_names[n]:<{name_w}} {row}")
     for a, entry in enumerate(_designated_entries(g, game, report.solution)):
-        print(f"agent {g.agents[a]}: {_set_text(game, a, entry)}")
+        print(f"agent {g.agents[a]}: {set_text(a, entry)}")
     return 0
 
 

@@ -53,9 +53,6 @@ class Game:
     def num_agents(self) -> int:
         return len(self.agents)
 
-    def strategy_space(self, a: int) -> tuple[Strategy, ...]:
-        return self.strategies[a]
-
 
 def utility_game(
     agents: Sequence[str],

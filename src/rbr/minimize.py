@@ -41,9 +41,7 @@ def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
     """:func:`quotient` without its stability check.
 
     Block k's edges are those of its first member; on a stable partition
-    every member's edges map to the same block edges.  On a partition one
-    more pass would split, the result is the graph of first members, which
-    :func:`rbr.solve.rational_solution` runs its early rounds on.
+    every member's edges map to the same block edges.
     """
     firsts = [members[0] for members in p.blocks()]
     edges = [

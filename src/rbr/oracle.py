@@ -75,15 +75,20 @@ def _undominated(g: RbrGraph, game: Game, sets, n: int) -> frozenset:
     return frozenset(survivors)
 
 
+def brute_force_round(g: RbrGraph, game: Game, sets) -> tuple:
+    """One round of literal rationalisation, node by node."""
+    return tuple(_undominated(g, game, sets, n) for n in g.nodes())
+
+
 def brute_force_rational_solution(g: RbrGraph, game: Game) -> tuple:
     """Fixpoint of literal rationalisation, recomputed with nested loops."""
     if g.agents != game.agents:
         raise AgentUniverseMismatch((g.agents, game.agents))
-    sets = [frozenset(game.strategies[g.labels[n]]) for n in g.nodes()]
+    sets = tuple(frozenset(game.strategies[g.labels[n]]) for n in g.nodes())
     while True:
-        nxt = [_undominated(g, game, sets, n) for n in g.nodes()]
+        nxt = brute_force_round(g, game, sets)
         if nxt == sets:
-            return tuple(sets)
+            return sets
         sets = nxt
 
 

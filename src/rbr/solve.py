@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from .errors import AgentMissingFromGame, InvalidSolution, NonTermination
 from .games import Game, ReasoningScene, rational_response
 from .graph import NO_NODE, RbrGraph
-from .minimize import _quotient_graph
-from . import partition
-from .partition import Partition
 
 # One frozenset of strategies per node, indexed by NodeId.
 Solution = tuple
@@ -40,7 +37,8 @@ def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
 def full_solution(g: RbrGraph, game: Game) -> Solution:
     """The solution assigning every node its agent's whole strategy space."""
     check_compatible(g, game)
-    return tuple(frozenset(game.strategies[g.labels[n]]) for n in g.nodes())
+    spaces = [frozenset(space) for space in game.strategies]
+    return tuple(map(spaces.__getitem__, g.labels))
 
 
 def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene:
@@ -63,19 +61,26 @@ def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene
 def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
     """One rationalisation round: per-node rational response in its scene.
 
-    ``_memo`` caches responses keyed by scene; distinct nodes of the same
-    agent often share a scene across rounds.
+    A node's scene is fixed by its key: its label, then per agent the
+    entry of its successor, or that agent's full space where there is
+    none.  Each key is answered once, on the scene of one node that has
+    it; ``_memo`` carries the answers over to later rounds.
     """
+    if len(s) != g.num_nodes:
+        raise InvalidSolution("solution does not cover the node set")
     memo = _memo if _memo is not None else {}
-    out = []
-    for n in g.nodes():
-        scene = belief_scene(g, game, s, n)
-        resp = memo.get(scene)
-        if resp is None:
-            resp = rational_response(game, scene.owner, scene)
-            memo[scene] = resp
-        out.append(resp)
-    return tuple(out)
+    # Built one agent column at a time, so the per-node work runs in C;
+    # NO_NODE (-1) reads the full space appended after the entries.
+    columns = (
+        map((*s, frozenset(space)).__getitem__, column)
+        for space, column in zip(game.strategies, zip(*g.succ))
+    )
+    keys = list(zip(g.labels, *columns))
+    for key, n in dict(zip(keys, g.nodes())).items():
+        if key not in memo:
+            scene = belief_scene(g, game, s, n)
+            memo[key] = rational_response(game, scene.owner, scene)
+    return tuple(map(memo.__getitem__, keys))
 
 
 def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
@@ -112,56 +117,26 @@ def rational_solution(
 
     ``iterations`` is the first i with R^{i+1} = R^i.  Exceeding the
     safety bound raises NonTermination, which indicates a bug rather
-    than a legitimate input condition.
-
-    Nodes alike to depth i of their belief hierarchies, that is, in one
-    block of the label partition refined i times, share their R^i entry.
-    So the round that computes R^{i+1} runs on the graph of first members
-    of the blocks refined i + 1 times, one node per block, and every round
-    is lifted back to ``g``.  Refinement stops at the first pass that
-    splits nothing; the rounds after it run on the quotient by the finest
-    partition.  A solve thus makes at most ``iterations + 1`` refinement
-    passes, however many a full refinement would take.  Solution, trace
-    and round count are those of ``g``.
+    than a legitimate input condition.  One memo serves every round, so
+    each distinct scene is answered once per solve.
     """
     check_compatible(g, game)
     bound = safety_bound(g, game) if max_iterations is None else max_iterations
-    p = partition.initial_partition(g)
-    q = _quotient_graph(g, p)
-    current = full_solution(q, game)  # one entry per block of p
-    trace = [_lift(current, p)] if keep_trace else None
+    current = full_solution(g, game)
+    trace = [current] if keep_trace else None
     memo: dict = {}
-    stable = False
     for i in range(bound + 1):
-        if not stable:
-            # Called through its module, so wrappers installed there see it.
-            finer = partition.refine_once(g, p)
-            stable = finer == p
-            if not stable:
-                current = _per_block(_lift(current, p), finer)
-                p, q = finer, _quotient_graph(g, finer)
-        nxt = rationalise(q, game, current, memo)
+        nxt = rationalise(g, game, current, memo)
         if trace is not None:
-            trace.append(_lift(nxt, p))
+            trace.append(nxt)
         if nxt == current:
             return RationalSolutionReport(
-                solution=_lift(current, p),
+                solution=current,
                 iterations=i,
                 trace=None if trace is None else tuple(trace),
             )
         current = nxt
     raise NonTermination(f"no fixpoint within {bound} rationalisation rounds")
-
-
-def _lift(s: Solution, p: Partition) -> Solution:
-    """A solution with one entry per block of ``p`` read onto the nodes."""
-    return tuple(map(s.__getitem__, p.block_of))
-
-
-def _per_block(s: Solution, p: Partition) -> Solution:
-    """One entry per block of ``p`` from a solution constant on its blocks:
-    a dict meets the blocks in order of first member, their numbering."""
-    return tuple(dict(zip(p.block_of, s)).values())
 
 
 def doxastic_rationalisability(g: RbrGraph, game: Game) -> tuple:

@@ -11,6 +11,7 @@ from rbr import (
     rational_solution,
 )
 import rbr.oracle
+import rbr.solve
 from rbr.errors import SizeCap
 from rbr.oracle import (
     brute_force_hierarchy,
@@ -107,11 +108,16 @@ def test_distinguisher_skips_games_too_large_to_certify():
         assert gk_distinguisher(ga, 0, gb, 0, length + 1) == length
 
 
-def test_oracle_imports_nothing_from_the_checked_layers():
-    """The oracle-agreement suites compare against ``rbr.oracle``; if it
-    routed through solve, partition or minimize, they would compare the
-    optimised path with itself."""
-    tree = ast.parse(Path(rbr.oracle.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("layer, forbidden", [
+    # The oracle-agreement suites compare against rbr.oracle; if it routed
+    # through solve, partition or minimize, they would compare the
+    # optimised path with itself.
+    (rbr.oracle, ("rbr.solve", "rbr.partition", "rbr.minimize")),
+    # The solver groups nodes by scene key and refines no partition.
+    (rbr.solve, ("rbr.partition", "rbr.minimize")),
+], ids=["oracle", "solve"])
+def test_imports_nothing_from_the_forbidden_layers(layer, forbidden):
+    tree = ast.parse(Path(layer.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -120,5 +126,4 @@ def test_oracle_imports_nothing_from_the_checked_layers():
             module = ("rbr." * bool(node.level) + (node.module or "")).rstrip(".")
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
-    forbidden = ("rbr.solve", "rbr.partition", "rbr.minimize")
     assert not [m for m in imported for f in forbidden if m == f or m.startswith(f + ".")]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from rbr import (
     Game,
     belief_hierarchy_bounded,
+    belief_scene,
     finest_partition,
     full_solution,
     graphs_equivalent,
@@ -29,7 +30,7 @@ from rbr import (
     refine_once,
     validate_graph,
 )
-from rbr.oracle import brute_force_rational_solution
+from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
 import rbr.solve
 from rbr.solve import safety_bound
@@ -179,14 +180,16 @@ def test_builtin_game_solution_matches_oracle(name, g):
 @given(g=graphs(), copies=st.integers(1, 3), rng=st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_lifted_trace_matches_node_by_node_rounds(name, g, copies, rng):
-    """Every round of the quotient solve, lifted back, equals the same
-    round of ``iterate``, which rationalises node by node."""
+    """On a blow-up, the trace starts at the full solution and each round
+    is the oracle's node-by-node round of the one before it."""
     game = BUILTIN_GAMES[name]()
     g, _ = blow_up(rng, g, copies)
     rep = rational_solution(g, game, keep_trace=True)
     assert len(rep.trace) == rep.iterations + 2
-    for i, entry in enumerate(rep.trace):
-        assert entry == iterate(g, game, full_solution(g, game), i)
+    assert rep.trace[0] == tuple(frozenset(game.strategies[a]) for a in g.labels)
+    for before, after in zip(rep.trace, rep.trace[1:]):
+        assert after == brute_force_round(g, game, before)
+    assert rep.trace[-1] == rep.trace[-2] == rep.solution
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_GAMES))
@@ -211,9 +214,9 @@ def _chain(length):
 
 
 @pytest.mark.parametrize("case", ["blow-up", "chain"])
-def test_rounds_run_on_blocks_refined_as_deep(case, corpus3, monkeypatch):
-    """Round i answers once per block of the label partition refined
-    i + 1 times, and refinement goes no deeper than the rounds need."""
+def test_one_response_per_distinct_scene(case, corpus3, monkeypatch):
+    """A solve builds one scene per distinct scene over all its rounds and
+    answers each once, without refining a partition."""
     if case == "blow-up":
         core = max(corpus3, key=lambda g: g.num_nodes)
         g, _ = blow_up(random.Random(3), core, 50)
@@ -221,21 +224,20 @@ def test_rounds_run_on_blocks_refined_as_deep(case, corpus3, monkeypatch):
     else:
         g = _chain(400)
         game = make_sequence_game(("a", "b"), 3)
-    depths = [initial_partition(g)]
-    while len(depths) == 1 or depths[-1] != depths[-2]:
-        depths.append(refine_once(g, depths[-1]))
+    distinct = set()
+    for s in rational_solution(g, game, keep_trace=True).trace[:-1]:
+        distinct.update(belief_scene(g, game, s, n) for n in g.nodes())
 
-    scenes, passes = [], []
+    scenes, responses, passes = [], [], []
     for module, name, calls in [(rbr.solve, "belief_scene", scenes),
+                                (rbr.solve, "rational_response", responses),
                                 (rbr.partition, "refine_once", passes)]:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, f=original, c=calls: c.append(1) or f(*a))
-    rep = rational_solution(g, game)
-    rounds = rep.iterations + 1
+    rational_solution(g, game)
     assert g.num_nodes >= 200
-    assert len(passes) == min(rounds, len(depths) - 1)
-    deeper = depths[1:] + [depths[-1]] * rounds
-    assert len(scenes) == sum(p.block_count for p in deeper[:rounds]) < rounds * g.num_nodes
+    assert len(scenes) == len(responses) == len(distinct) < g.num_nodes
+    assert not passes
 
 
 @st.composite

@@ -77,6 +77,12 @@ def test_iterate_rejects_bad_solution(b1, guess):
         iterate(b1, guess, (frozenset(),) * 3, 1)
 
 
+def test_rationalise_rejects_a_short_solution(b2, guess):
+    # Node 0's b-successor is node 1, which the solution leaves out.
+    with pytest.raises(InvalidSolution):
+        rationalise(b2, guess, (ALL10,))
+
+
 def test_is_stable(b1, guess):
     assert is_stable(b1, guess, (frozenset({1}),) * 3)
     assert not is_stable(b1, guess, full_solution(b1, guess))
