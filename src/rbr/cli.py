@@ -23,9 +23,30 @@ from .solve import doxastic_rationalisability  # unused here; perfbench/tracing.
 from . import __version__
 
 
-def _load_graph(path: str) -> RbrGraph:
+def _read_text(path: str) -> str:
+    """The file at ``path`` as text; UnicodeError names the path when it
+    is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return read_graph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UnicodeError(f"{path}: not UTF-8: {exc}") from None
+
+
+def _load_graph(path: str) -> RbrGraph:
+    return read_graph(_read_text(path))
+
+
+def _count(text: str) -> int:
+    """argparse type of a non-negative integer option; a non-integer gets
+    argparse's own ``int`` message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _spec_numbers(spec: str, arity: int) -> list[int]:
@@ -55,8 +76,7 @@ def _resolve_game(spec: str, g: RbrGraph) -> Game:
                 f"guess23 wants {count} agents but the graph has {g.num_agents}"
             )
         return make_guess_average_game(count, max_int, agents=g.agents)
-    with open(spec, encoding="utf-8") as fh:
-        game = parse_game(fh.read())
+    game = parse_game(_read_text(spec))
     if game.agents != g.agents:
         raise RbrError(
             f"game agents {game.agents} differ from graph agents {g.agents}"
@@ -182,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print per-round sets")
     p.add_argument(
         "--max-iterations",
-        type=int,
+        type=_count,
         default=None,
         help="override the iteration safety bound (testing only)",
     )
@@ -198,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonTermination, AssertionError) as exc:

@@ -39,6 +39,12 @@ class Game:
     outcome profiles.  ``utility`` is present exactly when the game is
     utility-defined; it must agree with ``compare`` and return exact
     rationals (``int`` or ``Fraction``).
+
+    A utility may carry the whole table as ``utility.rows(a)``: agent
+    ``a``'s payoffs as int rows in :func:`_payoff_rows`' column order, all
+    scaled by one positive constant per agent.  The payoff table is then
+    built without calling ``utility``.  The rows belong to the utility,
+    so ``dataclasses.replace(game, utility=...)`` drops them with it.
     """
 
     agents: tuple[str, ...]
@@ -175,10 +181,13 @@ def _payoff_rows(game: Game, a: int) -> list[list[int]]:
 
     Column ``j`` of a row is the opponent profile whose mixed-radix digits
     (opponents in declaration order, last one fastest) are its strategy
-    indices.  Every utility is scaled by the agent's common denominator,
-    which keeps the order exact.
+    indices.  Every utility is scaled by one positive constant per agent,
+    which keeps the order exact: ``utility.rows`` when the utility has
+    it, else the agent's common denominator over per-cell utilities.
     """
     rows = game._rows.get(a)
+    if rows is None and hasattr(game.utility, "rows"):
+        rows = game._rows[a] = game.utility.rows(a)
     if rows is None:
         axes = list(game.strategies)
         utilities = []
@@ -277,6 +286,22 @@ def make_guess_average_game(
         target = Fraction(2 * others, 3 * (agent_count - 1))
         return -abs(target - outcome[a])
 
+    def rows(a: int) -> list[list[int]]:
+        # Scaled by 3(agent_count - 1), a payoff is the int
+        # -|2·others - scale·own|: a function of the own strategy and the
+        # opponents' sum, so a row looks its column sums up in one table.
+        scale = 3 * (agent_count - 1)
+        sums = [0]
+        for _ in range(agent_count - 1):
+            sums = [t + s for t in sums for s in space]
+        totals = range((agent_count - 1) * max_int + 1)
+        out = []
+        for own in space:
+            payoff = [-abs(2 * t - scale * own) for t in totals]
+            out.append(list(map(payoff.__getitem__, sums)))
+        return out
+
+    utility.rows = rows
     return utility_game(agents, [space] * agent_count, utility)
 
 
@@ -344,6 +369,33 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
             return 1
         return -1
 
+    def rows(a: int) -> list[list[int]]:
+        # A sequence with a tail reads one opponent's digit: +1 on the run
+        # of columns where that opponent plays the tail, -1 elsewhere.
+        strides = {}
+        width = 1
+        for b in reversed(range(num)):
+            if b != a:
+                strides[b] = width
+                width *= len(spaces[b])
+        # Sequences start with their owner, so one map serves all opponents.
+        digit = {s: i for b in strides for i, s in enumerate(spaces[b])}
+        out = []
+        for s in spaces[a]:
+            if isinstance(s, Quit):
+                out.append([0] * width)
+            elif len(s) == 1:
+                out.append([-1] * width)
+            else:
+                b = s[1]
+                size, stride = len(spaces[b]), strides[b]
+                j = digit[s[1:]]
+                block = [-1] * (j * stride) + [1] * stride
+                block += [-1] * ((size - j - 1) * stride)
+                out.append(block * (width // (size * stride)))
+        return out
+
+    utility.rows = rows
     return utility_game(tuple(agents), spaces, utility)
 
 
@@ -355,6 +407,11 @@ def make_binary_game(agents: Sequence[str]) -> Game:
     def utility(a: int, outcome: Outcome) -> int:
         return outcome[a]
 
+    def rows(a: int) -> list[list[int]]:
+        width = 2 ** (len(agents) - 1)
+        return [[0] * width, [1] * width]
+
+    utility.rows = rows
     return utility_game(tuple(agents), [(0, 1)] * len(agents), utility)
 
 

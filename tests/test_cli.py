@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rbr
 from rbr import serialize_rbr
 from rbr.cli import main
 
@@ -127,6 +133,43 @@ def test_solve_honours_max_iterations(paths, capsys):
     for extra in ([], ["--trace"]):
         assert main(argv + extra) == 3
         assert "no fixpoint within 0" in capsys.readouterr().err
+
+
+def test_negative_max_iterations_is_usage_error(paths, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", paths["b1"], "binary", "--max-iterations", "-1"])
+    assert exc.value.code == 2
+    assert "--max-iterations: must not be negative: -1" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_usage_error(paths, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("agents a b\nnode n\xe9 a\n".encode("latin-1"))
+    for argv in (
+        ["validate", str(bad)],
+        ["minimize", str(bad)],
+        ["solve", str(bad), "binary"],
+        ["solve", paths["b1"], str(bad)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 17: invalid continuation byte\n"
+        )
+
+
+def test_python_dash_m_runs_the_cli(paths):
+    src = str(Path(rbr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rbr", "validate", paths["b1"]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (0, "valid: 3 nodes, 3 agents\n")
 
 
 def test_solve_trace_runs_one_fixpoint(paths, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from rbr import (
     utility_game,
 )
 from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
-from rbr.games import Quit, ReasoningScene, alternating_sequences
+from rbr.games import Quit, ReasoningScene, _payoff_rows, alternating_sequences
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +215,81 @@ def test_response_never_empty():
     g = make_guess_average_game(3, 5)
     for a in range(3):
         assert rational_response(g, a, full_scene(g, a))
+
+
+def _per_cell(game):
+    """``game`` with a utility that carries no rows, so that its payoff
+    table is built one ``utility`` call per cell."""
+    return dataclasses.replace(game, utility=lambda a, o: game.utility(a, o))
+
+
+SMALL_BUILTINS = {
+    **{
+        f"guess23:{n}:{top}": make_guess_average_game(n, top)
+        for n in (2, 3, 4)
+        for top in range(1, 7)
+    },
+    **{
+        f"gk:{k}, {n} agents": make_sequence_game("abcd"[:n], k)
+        for n in (2, 3, 4)
+        for k in (1, 2, 3)
+    },
+    **{f"binary, {n} agents": make_binary_game("abc"[:n]) for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_builtin_rows_scale_the_per_cell_rows(name):
+    game = SMALL_BUILTINS[name]
+    per_cell = _per_cell(game)
+    for a in range(game.num_agents):
+        rows, cells = game.utility.rows(a), _payoff_rows(per_cell, a)
+        assert [len(r) for r in rows] == [len(r) for r in cells]
+        pairs = [(x, y) for r, c in zip(rows, cells) for x, y in zip(r, c)]
+        scale = next((Fraction(x, y) for x, y in pairs if y), Fraction(1))
+        assert scale > 0
+        assert all(x == scale * y for x, y in pairs)
+
+
+ROWS_AND_PER_CELL = [(g, _per_cell(g)) for g in SMALL_BUILTINS.values()]
+
+
+@given(st.data())
+def test_rows_and_per_cell_responses_agree(data):
+    game, per_cell = data.draw(st.sampled_from(ROWS_AND_PER_CELL))
+    a = data.draw(st.integers(0, game.num_agents - 1))
+    opponents = {
+        b: data.draw(st.sets(st.sampled_from(space), min_size=1))
+        for b, space in enumerate(game.strategies)
+        if b != a
+    }
+    scene = make_scene(game, a, opponents)
+    assert rational_response(game, a, scene) == rational_response(per_cell, a, scene)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        make_binary_game,
+        lambda agents: make_sequence_game(agents, 2),
+        lambda agents: make_guess_average_game(3, 10, agents),
+    ],
+    ids=["binary", "gk:2", "guess23:3:10"],
+)
+def test_builtin_solve_calls_no_utility(b1, make):
+    game = make(b1.agents)
+    calls = []
+
+    def utility(a, o):
+        calls.append((a, o))
+        return game.utility(a, o)
+
+    def compare(a, s, s2):
+        calls.append((a, s, s2))
+        return game.compare(a, s, s2)
+
+    utility.rows = game.utility.rows
+    counted = dataclasses.replace(game, utility=utility, compare=compare)
+    expected = rational_solution(b1, _per_cell(game)).solution
+    assert rational_solution(b1, counted).solution == expected
+    assert calls == []
