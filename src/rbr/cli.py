@@ -103,13 +103,15 @@ def cmd_minimize(args) -> int:
     g = _load_graph(args.graph)
     report = minimise(g)
     text = serialize_rbr(report.output)
-    print(f"{g.num_nodes} -> {report.output.num_nodes} nodes "
-          f"({report.refinement_rounds} refinement rounds)")
+    summary = (f"{g.num_nodes} -> {report.output.num_nodes} nodes "
+               f"({report.refinement_rounds} refinement rounds)")
     if args.out:
+        print(summary)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        # The document goes to stdout, so the summary is a comment in it.
+        sys.stdout.write(f"# {summary}\n{text}")
     return 0
 
 

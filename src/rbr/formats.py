@@ -10,6 +10,7 @@ separately by validation.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,19 +148,30 @@ def serialize_rbr(g: RbrGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` as a double-quoted DOT string, so any name is a valid ID."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: RbrGraph) -> str:
     """DOT rendering: designated nodes solid, doxastic nodes dashed,
-    node text is the agent name."""
+    node text is the agent name.  Node IDs and labels are always quoted."""
+    ids = [_dot_quoted(name) for name in g.node_names]
     out = ["digraph rbr {"]
     for n in g.nodes():
         style = "solid" if g.is_designated(n) else "dashed"
-        out.append(
-            f'  {g.node_names[n]} [label="{g.agents[g.labels[n]]}", style={style}];'
-        )
+        label = _dot_quoted(g.agents[g.labels[n]])
+        out.append(f"  {ids[n]} [label={label}, style={style}];")
     for n, m in g.edges():
-        out.append(f"  {g.node_names[n]} -> {g.node_names[m]};")
+        out.append(f"  {ids[n]} -> {ids[m]};")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+# A sign, digits, then optionally /digits (not all zero) or .digits.
+# Fraction(str) also takes exponents, and 1e10000000 costs seconds and
+# gigabytes to build.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]+)?")
 
 
 def parse_game(text: str) -> Game:
@@ -216,10 +228,9 @@ def parse_game(text: str) -> Game:
             name, profile, value = args[0], tuple(args[1 : 1 + len(agents)]), args[-1]
             if name not in agent_id:
                 raise UnknownIdentifier(lineno, f"unknown agent {name}")
-            try:
-                val = Fraction(value)
-            except (ValueError, ZeroDivisionError):
+            if not _RATIONAL.fullmatch(value):
                 raise GraphSyntaxError(lineno, f"bad rational {value}")
+            val = Fraction(value)
             key = (agent_id[name], profile)
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")

@@ -16,6 +16,7 @@ from .errors import (
     DesignationMismatch,
     DuplicateSuccessor,
     EmptyAgentUniverse,
+    GraphValidationError,
     SelfBelief,
     SizeCap,
     UnknownNode,
@@ -103,7 +104,11 @@ def validate_graph(
         raise EmptyAgentUniverse("agent display names must be unique and non-empty")
     num_agents = len(agents)
     if len(labels) != num_nodes:
-        raise DanglingEdge("label array does not cover the node set")
+        raise GraphValidationError(f"{len(labels)} labels for {num_nodes} nodes")
+    if node_names and len(node_names) != num_nodes:
+        raise GraphValidationError(
+            f"{len(node_names)} node names for {num_nodes} nodes"
+        )
     for n, a in enumerate(labels):
         if not 0 <= a < num_agents:
             raise DanglingEdge((n, a))
@@ -152,6 +157,28 @@ def validate_graph(
         designated=tuple(designated),
         node_names=names,
     )
+
+
+def successor_keys(
+    g: RbrGraph, head: Sequence, values: Sequence, fills: Sequence
+) -> list[tuple]:
+    """Per node ``n``, the key ``(head[n], v_0, ..., v_{k-1})``, where
+    ``v_a`` is ``values[g.succ[n][a]]``, or ``fills[a]`` when ``n`` has no
+    a-successor.  ``fills`` must be hashable.
+
+    Refinement keys nodes by block and solving by scene entry, both with
+    this one builder.  It reads ``g.succ`` one agent column at a time, so
+    the per-node work runs in C: each column indexes ``values`` with
+    ``fills[a]`` appended, which ``NO_NODE`` (-1) reads.  Agents with equal
+    fills share one appended copy of ``values``; a copy per agent made a
+    10-agent refinement pass measurably slower.
+    """
+    padded = {fill: (*values, fill) for fill in set(fills)}
+    columns = (
+        map(padded[fill].__getitem__, column)
+        for fill, column in zip(fills, zip(*g.succ))
+    )
+    return list(zip(head, *columns))
 
 
 def adjacency(g: RbrGraph, n: int) -> frozenset[int]:

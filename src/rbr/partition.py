@@ -17,7 +17,7 @@ from .errors import (
     NotCanonical,
     PartialMapping,
 )
-from .graph import NO_NODE, RbrGraph, validate_graph
+from .graph import NO_NODE, RbrGraph, successor_keys, validate_graph
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,15 @@ def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
 def refine_once(g: RbrGraph, p: Partition) -> Partition:
     """Split blocks of ``p`` by successor blocks.
 
-    Each node's key is its own block followed by the block of its
-    a-successor for every agent a, with the out-of-range placeholder
-    ``block_count`` where there is none.  The own-label slot always holds
-    the placeholder, since a node has no successor of its own agent.  Two
+    Each node's key (:func:`~rbr.graph.successor_keys`) is its own block
+    followed by the block of its a-successor for every agent a, with the
+    out-of-range placeholder ``block_count`` where there is none.  Two
     nodes stay together iff their keys are equal, that is, iff they share
     a block in ``p`` and their successors per agent share blocks too.
     """
     _check_label_respecting(g, p)
-    bo = p.block_of + (p.block_count,)  # NO_NODE (-1) reads the placeholder
-    # Built one agent column at a time, so the per-node work runs in C.
-    columns = (map(bo.__getitem__, column) for column in zip(*g.succ))
-    return _normalise(list(zip(p.block_of, *columns)))
+    fills = (p.block_count,) * g.num_agents
+    return _normalise(successor_keys(g, p.block_of, p.block_of, fills))
 
 
 def finest_partition(g: RbrGraph) -> Partition:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import AgentMissingFromGame, InvalidSolution, NonTermination
 from .games import Game, ReasoningScene, rational_response
-from .graph import NO_NODE, RbrGraph
+from .graph import NO_NODE, RbrGraph, successor_keys
 
 # One frozenset of strategies per node, indexed by NodeId.
 Solution = tuple
@@ -69,13 +69,8 @@ def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
     if len(s) != g.num_nodes:
         raise InvalidSolution("solution does not cover the node set")
     memo = _memo if _memo is not None else {}
-    # Built one agent column at a time, so the per-node work runs in C;
-    # NO_NODE (-1) reads the full space appended after the entries.
-    columns = (
-        map((*s, frozenset(space)).__getitem__, column)
-        for space, column in zip(game.strategies, zip(*g.succ))
-    )
-    keys = list(zip(g.labels, *columns))
+    spaces = [frozenset(space) for space in game.strategies]
+    keys = successor_keys(g, g.labels, s, spaces)
     for key, n in dict(zip(keys, g.nodes())).items():
         if key not in memo:
             scene = belief_scene(g, game, s, n)

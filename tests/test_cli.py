@@ -48,6 +48,13 @@ def test_minimize_identity(paths, capsys):
     assert "3 -> 3 nodes" in capsys.readouterr().out
 
 
+def test_minimize_stdout_is_a_graph_document(paths, capsys, b3):
+    assert main(["minimize", paths["b5"]]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# 7 -> 3 nodes")
+    assert rbr.graphs_equivalent(rbr.read_graph(out), b3)
+
+
 def test_equiv_verdicts(paths, capsys):
     assert main(["equiv", paths["b5"], paths["b3"]]) == 0
     assert "equivalent" in capsys.readouterr().out

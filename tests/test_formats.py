@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -106,6 +109,20 @@ def test_export_dot(b1, b4):
     assert b1_dot.count("->") == 6
     single = export_dot(read_graph("agents a\nnode n a\nreal a n\n"))
     assert single.count("style=solid") == 1 and "->" not in single
+
+
+def test_export_dot_quotes_ids_and_labels():
+    g = read_graph('agents a b\\c\nnode n-1 a\nnode 2x b\\c\nnode a"b a\n'
+                   'edge n-1 2x\nedge 2x a"b\nreal a n-1\n')
+    assert export_dot(g) == (
+        'digraph rbr {\n'
+        '  "n-1" [label="a", style=solid];\n'
+        '  "2x" [label="b\\\\c", style=dashed];\n'
+        '  "a\\"b" [label="a", style=dashed];\n'
+        '  "n-1" -> "2x";\n'
+        '  "2x" -> "a\\"b";\n'
+        '}\n'
+    )
 
 
 GAME_DOC = """\
@@ -220,3 +237,17 @@ def test_parse_game_fuzz(text):
         parse_game(text)
     except (FormatError, GraphValidationError):
         pass
+
+
+@pytest.mark.parametrize("value", ["1e100000", "1E5", "1_000", ".5", "1.", "1/0", "nan"])
+def test_parse_game_rejects_utilities_outside_the_grammar(value):
+    with pytest.raises(GraphSyntaxError, match=f"bad rational {re.escape(value)}$"):
+        parse_game(GAME_HEAD + f"utility a x x {value}\n")
+
+
+def test_parse_game_reads_signed_fractions_and_decimals():
+    text = GAME_HEAD + "utility a x x -1/010\nutility a y x +1.5\n"
+    text += "utility b x x 0\nutility b y x 2\n"
+    game = parse_game(text)
+    assert [game.utility(0, o) for o in (("x", "x"), ("y", "x"))] == [
+        Fraction(-1, 10), Fraction(3, 2)]

@@ -10,11 +10,13 @@ from rbr import (
 from rbr.errors import (
     DesignationMismatch,
     DuplicateSuccessor,
+    GraphValidationError,
     SelfBelief,
     UnknownNode,
     UnreachableNode,
     ZeroLength,
 )
+from rbr.graph import successor_keys
 from .conftest import ABC
 
 
@@ -45,6 +47,30 @@ def test_rejects_unreachable_node(b1):
         validate_graph(
             ABC, 4, list(b1.labels) + [0], list(b1.edges()), {0: 0, 1: 1, 2: 2}
         )
+
+
+def test_rejects_label_array_of_the_wrong_length():
+    with pytest.raises(GraphValidationError, match="^1 labels for 2 nodes$") as exc:
+        validate_graph(("a", "b"), 2, [0], [], {0: 0})
+    assert exc.type is GraphValidationError
+
+
+def test_rejects_node_names_of_the_wrong_length():
+    with pytest.raises(GraphValidationError, match="^1 node names for 2 nodes$"):
+        validate_graph(("a", "b"), 2, [0, 1], [(0, 1)], {0: 0}, node_names=["x"])
+
+
+def test_successor_keys_keep_the_head_and_fill_missing_successors():
+    # succ: 0 -> (-, 1, -), 1 -> (0, -, -), 2 -> (0, 1, -)
+    g = validate_graph(ABC, 3, [0, 1, 2], [(0, 1), (1, 0), (2, 0), (2, 1)],
+                       {0: 0, 2: 2})
+    assert successor_keys(g, "xyz", "PQR", "uvw") == [
+        ("x", "u", "Q", "w"),
+        ("y", "P", "v", "w"),
+        ("z", "P", "Q", "w"),
+    ]
+    empty = validate_graph(ABC, 0, [], [], {})
+    assert successor_keys(empty, (), (), "uvw") == []
 
 
 def test_adjacency(b1, b3):
