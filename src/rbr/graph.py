@@ -9,6 +9,7 @@ doxastic agents that exist only inside someone's belief.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -81,6 +82,20 @@ class RbrGraph:
         if not 0 <= n < len(self.labels):
             raise UnknownNode(n)
 
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Per node ``m``, the nodes that have ``m`` as a successor, in
+        ascending order.
+
+        The reverse of ``succ``, for passes that revisit only the nodes
+        whose successors changed.  Built on first use and kept with the
+        graph, so such passes share one copy.
+        """
+        out: list[list[int]] = [[] for _ in self.labels]
+        for n, m in self.edges():
+            out[m].append(n)
+        return tuple(map(tuple, out))
+
 
 def validate_graph(
     agents: Sequence[str],
@@ -111,7 +126,7 @@ def validate_graph(
         )
     for n, a in enumerate(labels):
         if not 0 <= a < num_agents:
-            raise DanglingEdge((n, a))
+            raise GraphValidationError(f"node {n} has unknown agent label {a}")
 
     succ = [[NO_NODE] * num_agents for _ in range(num_nodes)]
     for n, m in edges:
@@ -127,9 +142,9 @@ def validate_graph(
     designated = [NO_NODE] * num_agents
     for a, n in designation.items():
         if not 0 <= a < num_agents:
-            raise DanglingEdge((a, n))
+            raise GraphValidationError(f"designation names unknown agent {a}")
         if not 0 <= n < num_nodes:
-            raise DanglingEdge((a, n))
+            raise GraphValidationError(f"agent {a} designates unknown node {n}")
         if labels[n] != a:
             raise DesignationMismatch(a, n)
         designated[a] = n

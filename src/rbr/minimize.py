@@ -19,6 +19,9 @@ class MinimisationReport:
     output: RbrGraph
     block_map: tuple[int, ...]  # input node -> output node; a local isomorphism
     refinement_rounds: int
+    # Block counts from the label partition (first) to the fixpoint (last).
+    blocks_per_round: tuple[int, ...]
+    nodes_keyed: int  # over all refinement rounds, the confirming one included
 
 
 def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
@@ -69,8 +72,11 @@ def minimise(g: RbrGraph) -> MinimisationReport:
     block map; the refinement that found the partition already proved
     it stable, so the quotient skips the check.  Like :func:`quotient`,
     it accepts graphs built without reachability."""
-    p, rounds = _finest_with_rounds(g)
-    out = _quotient_graph(g, p)
+    p, counts, keyed = _finest_with_rounds(g)
     return MinimisationReport(
-        output=out, block_map=p.block_of, refinement_rounds=rounds
+        output=_quotient_graph(g, p),
+        block_map=p.block_of,
+        refinement_rounds=len(counts) - 1,
+        blocks_per_round=tuple(counts),
+        nodes_keyed=keyed,
     )

@@ -8,7 +8,9 @@ answered on a disjoint union of the two graphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -78,17 +80,119 @@ def finest_partition(g: RbrGraph) -> Partition:
     return _finest_with_rounds(g)[0]
 
 
-def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, int]:
-    """Refine from the label partition to the fixpoint; the round count
-    excludes the confirming no-op pass."""
+# A round keys only the predecessors of the nodes that changed block in
+# the round before, unless these are at least this share of all nodes:
+# then one refine_once pass, which builds its keys in C, is cheaper.
+_FULL_PASS_SHARE = 1 / 4
+
+
+def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
+    """Refine from the label partition to the fixpoint.
+
+    Returns the finest partition, the block counts from the label
+    partition to the fixpoint (one more than the rounds that split), and
+    the number of nodes keyed over all rounds, the confirming one
+    included.  Partition, numbering and rounds are those of iterating
+    :func:`refine_once` until nothing splits.
+
+    The rounds stay synchronous, but a round keys only the nodes whose
+    key can have changed: the predecessors of the nodes that changed
+    block in the round before (:func:`_split_round`).  Round 1, and any
+    round with too many such nodes, is one full :func:`refine_once`
+    pass instead.  The other rounds run no label check: a partition
+    refined from the label partition cannot mix labels.
+    """
+    n = g.num_nodes
+    many = n * _FULL_PASS_SHARE
     p = initial_partition(g)
-    rounds = 0
+    counts, keyed = [p.block_count], 0
+    block = None  # worklist block ids; ``p`` is stale while they are set
+    moved: list[int] | None = None  # None: key every node
     while True:
-        nxt = refine_once(g, p)
-        if nxt == p:
-            return p, rounds
-        p = nxt
-        rounds += 1
+        dirty = None
+        if moved is not None:
+            dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
+            if len(dirty) >= many:
+                dirty = None
+        if dirty is None:
+            if block is not None:
+                p, block = _normalise(block[:n]), None
+            nxt = refine_once(g, p)
+            keyed += n
+            if nxt.block_count == p.block_count:
+                return p, counts, keyed
+            moved = _moved_nodes(p, nxt, many)
+            p = nxt
+            counts.append(p.block_count)
+        else:
+            if block is None:
+                members = list(map(set, p.blocks()))
+                sizes = list(map(len, members))
+                block = [*p.block_of, NO_NODE]
+            keyed += len(dirty)
+            moved = _split_round(g.succ, block, sizes, members, dirty)
+            if not moved:
+                return _normalise(block[:n]), counts, keyed
+            counts.append(len(sizes))
+
+
+def _moved_nodes(old: Partition, new: Partition, many: float) -> list[int] | None:
+    """The nodes that leave their block from ``old`` to ``new`` under the
+    smaller-half rule: in each old block, the members of every new block
+    but the largest.  None when there are at least ``many``."""
+    size = Counter(new.block_of)
+    keep: dict[int, int] = {}
+    for k, b in dict(zip(new.block_of, old.block_of)).items():
+        if b not in keep or size[k] > size[keep[b]]:
+            keep[b] = k
+    kept = set(keep.values())
+    if len(new.block_of) - sum(map(size.__getitem__, kept)) >= many:
+        return None
+    return [v for v, k in enumerate(new.block_of) if k not in kept]
+
+
+def _split_round(
+    succ: Sequence[Sequence[int]],
+    block: list[int],
+    sizes: list[int],
+    members: list[set[int]],
+    dirty: set[int],
+) -> list[int]:
+    """One worklist round: split blocks by the keys of the ``dirty``
+    nodes and return the nodes that changed block id.
+
+    ``block[v]`` is node v's block id and ends with ``NO_NODE``, so a
+    missing successor reads -1; ``sizes`` and ``members`` are indexed by
+    block id.  Every key is computed before any id changes.  Nodes that
+    are not dirty keep their key, so in a block they form one group,
+    whose size is the block size minus its dirty members.  The largest
+    group keeps the block id and every other group gets a fresh one, so
+    a node changes id O(log n) times.
+    """
+    touched: dict[int, dict[tuple, list[int]]] = {}
+    for v in dirty:
+        key = tuple(map(block.__getitem__, succ[v]))
+        touched.setdefault(block[v], {}).setdefault(key, []).append(v)
+    moved: list[int] = []
+    for b, groups in touched.items():
+        parts = sorted(groups.values(), key=len)
+        rest = sizes[b] - sum(map(len, parts))
+        if not rest and len(parts) == 1:
+            continue
+        if rest < len(parts[-1]):
+            largest = parts.pop()
+            if rest:
+                parts.append(members[b].difference(largest, *parts))
+        for part in parts:
+            fresh = len(sizes)
+            sizes.append(len(part))
+            sizes[b] -= len(part)
+            members.append(set(part))
+            members[b].difference_update(part)
+            for v in part:
+                block[v] = fresh
+            moved.extend(part)
+    return moved
 
 
 def disjoint_union(ga: RbrGraph, gb: RbrGraph) -> RbrGraph:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rbr import NO_NODE, RbrGraph, validate_graph
+from rbr import NO_NODE, RbrGraph, initial_partition, refine_once, validate_graph
 
 
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -160,6 +160,27 @@ def blow_up(rng: random.Random, core: RbrGraph, copies: int) -> tuple[RbrGraph, 
         require_reachable=False,
     )
     return g, image
+
+
+def chain(length: int) -> RbrGraph:
+    """Alternating two-agent path: every node has its own hierarchy, and
+    refinement takes ``length - 2`` splitting rounds (from two nodes on)."""
+    labels = [i % 2 for i in range(length)]
+    edges = [(i, i + 1) for i in range(length - 1)]
+    designation = {0: 0, 1: 1} if length > 1 else {0: 0}
+    return validate_graph(("a", "b"), length, labels, edges, designation)
+
+
+def iterated_refinement(g: RbrGraph):
+    """The fixpoint of iterating ``refine_once`` from the label partition,
+    and the block count after each splitting round (the label partition
+    first)."""
+    p = initial_partition(g)
+    counts = [p.block_count]
+    while (q := refine_once(g, p)) != p:
+        p = q
+        counts.append(p.block_count)
+    return p, counts
 
 
 @pytest.fixture(scope="session")

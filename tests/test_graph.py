@@ -60,6 +60,24 @@ def test_rejects_node_names_of_the_wrong_length():
         validate_graph(("a", "b"), 2, [0, 1], [(0, 1)], {0: 0}, node_names=["x"])
 
 
+def test_rejects_a_label_outside_the_agent_range():
+    with pytest.raises(GraphValidationError, match="^node 0 has unknown agent label 5$") as exc:
+        validate_graph(("a",), 1, [5], [], {})
+    assert exc.type is GraphValidationError
+
+
+def test_rejects_a_designation_by_an_unknown_agent():
+    with pytest.raises(GraphValidationError, match="^designation names unknown agent 7$") as exc:
+        validate_graph(("a", "b"), 2, [0, 1], [(0, 1)], {7: 0})
+    assert exc.type is GraphValidationError
+
+
+def test_rejects_a_designation_of_an_unknown_node():
+    with pytest.raises(GraphValidationError, match="^agent 0 designates unknown node 9$") as exc:
+        validate_graph(("a", "b"), 2, [0, 1], [(0, 1)], {0: 9})
+    assert exc.type is GraphValidationError
+
+
 def test_successor_keys_keep_the_head_and_fill_missing_successors():
     # succ: 0 -> (-, 1, -), 1 -> (0, -, -), 2 -> (0, 1, -)
     g = validate_graph(ABC, 3, [0, 1, 2], [(0, 1), (1, 0), (2, 0), (2, 1)],

@@ -16,7 +16,7 @@ from rbr.errors import NotFinest
 from rbr.minimize import quotient
 from rbr.partition import Partition, disjoint_union
 from rbr.oracle import brute_force_hierarchy
-from .conftest import ABC
+from .conftest import ABC, chain, iterated_refinement
 
 
 def test_quotient_of_b5(b3, b5):
@@ -80,24 +80,17 @@ def test_minimise_contract_on_corpus(corpus):
 
 def test_minimise_reuses_the_finest_partition(corpus, monkeypatch):
     import rbr.minimize
-    import rbr.partition
 
-    calls = []
-    original = rbr.partition.refine_once
+    def stability_pass(g, p):
+        raise AssertionError("minimise re-checked a partition it refined")
 
-    def counted(g, p):
-        calls.append(1)
-        return original(g, p)
-
-    monkeypatch.setattr(rbr.partition, "refine_once", counted)
-    monkeypatch.setattr(rbr.minimize, "refine_once", counted)
-    for g in corpus:
-        p = finest_partition(g)
-        calls.clear()
+    monkeypatch.setattr(rbr.minimize, "refine_once", stability_pass)
+    for g in corpus + [chain(60)]:
         report = minimise(g)
-        assert report.block_map == p.block_of
-        # The fixpoint's confirming pass proves stability; no further pass.
-        assert len(calls) == report.refinement_rounds + 1
+        assert report.block_map == finest_partition(g).block_of
+        # The rounds are those of refine_once iterated to its fixpoint.
+        _, counts = iterated_refinement(g)
+        assert report.refinement_rounds == len(counts) - 1
 
 
 def test_hierarchy_multiset_preserved(corpus):

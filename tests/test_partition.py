@@ -14,7 +14,7 @@ from rbr import (
 )
 from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
 from rbr.partition import Partition, disjoint_union
-from .conftest import ABC
+from .conftest import ABC, chain
 
 
 def test_initial_partition_is_label_classes(b1, b5):
@@ -143,3 +143,17 @@ def test_refinement_chain_properties(corpus):
         # Same block implies same label.
         for block in p.blocks():
             assert len({g.labels[n] for n in block}) == 1
+
+
+def test_long_chain_refines_in_linear_work():
+    # Refining a chain splits one node off per round; re-keying every node
+    # in every round would key about n^2 nodes.
+    n = 20_000
+    g = chain(n)
+    report = minimise(g)
+    assert report.refinement_rounds == n - 2
+    assert report.blocks_per_round == tuple(range(2, n + 1))
+    assert report.nodes_keyed < 3 * n
+    assert report.block_map == tuple(range(n))
+    assert report.output.succ == g.succ
+    assert report.output.labels == g.labels

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -34,7 +35,7 @@ from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
 import rbr.solve
 from rbr.solve import safety_bound
-from .conftest import ABC, blow_up
+from .conftest import ABC, blow_up, chain, iterated_refinement
 
 
 @st.composite
@@ -205,14 +206,6 @@ def test_blow_up_solution_is_the_core_solution_lifted(name, corpus3):
         assert rational_solution(g, game).solution == tuple(core_solution[v] for v in image)
 
 
-def _chain(length):
-    """Alternating two-agent path: every node has its own hierarchy, and
-    full refinement takes about ``length`` passes."""
-    labels = [i % 2 for i in range(length)]
-    edges = [(i, i + 1) for i in range(length - 1)]
-    return validate_graph(("a", "b"), length, labels, edges, {0: 0, 1: 1})
-
-
 @pytest.mark.parametrize("case", ["blow-up", "chain"])
 def test_one_response_per_distinct_scene(case, corpus3, monkeypatch):
     """A solve builds one scene per distinct scene over all its rounds and
@@ -222,7 +215,7 @@ def test_one_response_per_distinct_scene(case, corpus3, monkeypatch):
         g, _ = blow_up(random.Random(3), core, 50)
         game = make_guess_average_game(3, 6, agents=ABC)
     else:
-        g = _chain(400)
+        g = chain(400)
         game = make_sequence_game(("a", "b"), 3)
     distinct = set()
     for s in rational_solution(g, game, keep_trace=True).trace[:-1]:
@@ -287,3 +280,36 @@ def test_drawn_game_solution_matches_oracle(games, data):
     g = data.draw(graphs(num_agents=num_agents))
     game = data.draw(games(ABC[:num_agents]))
     assert rational_solution(g, game).solution == brute_force_rational_solution(g, game)
+
+
+@st.composite
+def refinement_inputs(draw):
+    """A small drawn graph, a blow-up of one, or a chain of 1-300 nodes."""
+    kind = draw(st.sampled_from(["graph", "blow-up", "chain"]))
+    if kind == "chain":
+        return chain(draw(st.integers(1, 300)))
+    g = draw(graphs(max_nodes=24))
+    if kind == "blow-up":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        g, _ = blow_up(rng, g, draw(st.integers(2, 8)))
+    return g
+
+
+@given(refinement_inputs(), st.sampled_from([0.0, 0.25, 2.0]))
+@settings(max_examples=200, deadline=None)
+def test_worklist_refiner_matches_iterated_refine_once(g, share):
+    """Whichever rounds run as worklist rounds (share 0: none; 2.0: all
+    but the first), the refiner gives the partition and the rounds of
+    iterating refine_once, and on small graphs the hierarchy classes."""
+    with mock.patch.object(rbr.partition, "_FULL_PASS_SHARE", share):
+        p = finest_partition(g)
+        report = minimise(g)
+    expect, counts = iterated_refinement(g)
+    assert p == expect
+    assert report.block_map == expect.block_of
+    assert report.refinement_rounds == len(counts) - 1
+    assert report.blocks_per_round == tuple(counts)
+    if g.num_nodes <= 8:
+        h = [belief_hierarchy_bounded(g, n, g.num_nodes) for n in g.nodes()]
+        assert all(p.same_block(n, m) == (h[n] == h[m])
+                   for n in g.nodes() for m in g.nodes())
