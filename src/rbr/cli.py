@@ -146,24 +146,34 @@ def cmd_solve(args) -> int:
     # Nodes share entries, so each distinct (agent, entry) is formatted once.
     set_text = functools.cache(functools.partial(_set_text, game))
     if args.trace:
-        rounds = len(report.trace) - 1
-        cells = [
-            [set_text(g.labels[n], report.trace[i][n]) for i in range(1, rounds + 1)]
-            for n in g.nodes()
-        ]
-        widths = [
-            max((len(cells[n][i]) for n in g.nodes()), default=0)
-            for i in range(rounds)
-        ]
-        name_w = max(map(len, g.node_names), default=0)
-        header = " ".join(f"{i + 1:>{widths[i]}}" for i in range(rounds))
-        print(f"{'node':<{name_w}} {header}")
-        for n in g.nodes():
-            row = " ".join(f"{cells[n][i]:>{widths[i]}}" for i in range(rounds))
-            print(f"{g.node_names[n]:<{name_w}} {row}")
+        _print_trace(g, report.trace[1:], set_text)
     for a, entry in enumerate(_designated_entries(g, game, report.solution)):
         print(f"agent {g.agents[a]}: {set_text(a, entry)}")
     return 0
+
+
+def _print_trace(g: RbrGraph, rounds: tuple, set_text) -> None:
+    """One line per node: its name, then its entry in each round.
+
+    Copies of one belief type have one row, so each distinct (label,
+    entries) row is formatted once, and the column widths are read off
+    the distinct rows.
+    """
+    rows = list(zip(g.labels, *rounds))
+    cells = {row: [set_text(row[0], e) for e in row[1:]] for row in dict.fromkeys(rows)}
+    widths = [
+        max((len(c[i]) for c in cells.values()), default=0)
+        for i in range(len(rounds))
+    ]
+    text = {
+        row: " ".join(f"{c:>{w}}" for c, w in zip(cs, widths))
+        for row, cs in cells.items()
+    }
+    name_w = max(map(len, g.node_names), default=0)
+    header = " ".join(f"{i + 1:>{w}}" for i, w in enumerate(widths))
+    lines = [f"{'node':<{name_w}} {header}"]
+    lines += [f"{name:<{name_w}} {text[row]}" for name, row in zip(g.node_names, rows)]
+    print("\n".join(lines))
 
 
 def cmd_export_dot(args) -> int:

@@ -117,9 +117,7 @@ def parse_rbr(text: str) -> RawGraph:
         raise GraphSyntaxError(1, "missing agents line")
     return RawGraph(
         agents=agents,
-        node_names=tuple(
-            sorted(node_id, key=node_id.__getitem__)
-        ),
+        node_names=tuple(node_id),  # node_id gave out ids in insertion order
         labels=tuple(labels),
         edges=tuple(edges),
         designation=designation,
@@ -190,6 +188,9 @@ def parse_game(text: str) -> Game:
     agent_id: dict[str, int] = {}
     spaces: dict[int, tuple[str, ...]] = {}
     table: dict[tuple[int, tuple[str, ...]], Fraction] = {}
+    # Utility texts repeat across a table, so each distinct one is checked
+    # and converted once.
+    rationals: dict[str, Fraction] = {}
 
     for lineno, tokens in lines[1:]:
         kind, args = tokens[0], tokens[1:]
@@ -228,9 +229,11 @@ def parse_game(text: str) -> Game:
             name, profile, value = args[0], tuple(args[1 : 1 + len(agents)]), args[-1]
             if name not in agent_id:
                 raise UnknownIdentifier(lineno, f"unknown agent {name}")
-            if not _RATIONAL.fullmatch(value):
-                raise GraphSyntaxError(lineno, f"bad rational {value}")
-            val = Fraction(value)
+            val = rationals.get(value)
+            if val is None:
+                if not _RATIONAL.fullmatch(value):
+                    raise GraphSyntaxError(lineno, f"bad rational {value}")
+                val = rationals[value] = Fraction(value)
             key = (agent_id[name], profile)
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")

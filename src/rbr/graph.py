@@ -175,11 +175,16 @@ def validate_graph(
 
 
 def successor_keys(
-    g: RbrGraph, head: Sequence, values: Sequence, fills: Sequence
+    g: RbrGraph,
+    head: Sequence,
+    values: Sequence,
+    fills: Sequence,
+    nodes: Sequence[int] | None = None,
 ) -> list[tuple]:
     """Per node ``n``, the key ``(head[n], v_0, ..., v_{k-1})``, where
     ``v_a`` is ``values[g.succ[n][a]]``, or ``fills[a]`` when ``n`` has no
-    a-successor.  ``fills`` must be hashable.
+    a-successor.  ``fills`` must be hashable.  With ``nodes``, only those
+    nodes are keyed, in that order.
 
     Refinement keys nodes by block and solving by scene entry, both with
     this one builder.  It reads ``g.succ`` one agent column at a time, so
@@ -188,10 +193,14 @@ def successor_keys(
     fills share one appended copy of ``values``; a copy per agent made a
     10-agent refinement pass measurably slower.
     """
+    rows = g.succ
+    if nodes is not None:
+        rows = list(map(rows.__getitem__, nodes))
+        head = map(head.__getitem__, nodes)
     padded = {fill: (*values, fill) for fill in set(fills)}
     columns = (
         map(padded[fill].__getitem__, column)
-        for fill, column in zip(fills, zip(*g.succ))
+        for fill, column in zip(fills, zip(*rows))
     )
     return list(zip(head, *columns))
 

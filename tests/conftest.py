@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from rbr import NO_NODE, RbrGraph, initial_partition, refine_once, validate_graph
+from rbr import (
+    NO_NODE,
+    RbrGraph,
+    full_solution,
+    initial_partition,
+    rationalise,
+    refine_once,
+    validate_graph,
+)
 
 
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -181,6 +189,15 @@ def iterated_refinement(g: RbrGraph):
         p = q
         counts.append(p.block_count)
     return p, counts
+
+
+def iterated_rationalise(g: RbrGraph, game) -> tuple:
+    """R^0, R^1, ... from the full solution, each round a full
+    ``rationalise`` of the one before, up to the first repeat."""
+    trace = [full_solution(g, game)]
+    while len(trace) < 2 or trace[-1] != trace[-2]:
+        trace.append(rationalise(g, game, trace[-1]))
+    return tuple(trace)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,18 @@ from pathlib import Path
 import pytest
 
 import rbr
-from rbr import serialize_rbr
+from rbr import (
+    NO_NODE,
+    make_binary_game,
+    make_guess_average_game,
+    make_sequence_game,
+    read_graph,
+    serialize_rbr,
+    validate_graph,
+)
 from rbr.cli import main
+from rbr.games import strategy_label
+from .conftest import ABC, blow_up, iterated_rationalise, random_graph
 
 
 @pytest.fixture()
@@ -225,3 +236,67 @@ def test_solve_trace_on_a_graph_without_nodes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", path, "binary", "--trace"]) == 0
     assert capsys.readouterr().out == "node 1\nagent a: {0,1}\nagent b: {0,1}\n"
+
+
+def _reference_table(g, game) -> str:
+    """The ``solve --trace`` table, formatted node by node and cell by
+    cell from rounds of the full ``rationalise``."""
+    trace = iterated_rationalise(g, game)
+    cells = [
+        ["{" + ",".join(strategy_label(game, x)
+                        for x in game.strategies[g.labels[n]] if x in s[n]) + "}"
+         for s in trace[1:]]
+        for n in g.nodes()
+    ]
+    widths = [max((len(row[i]) for row in cells), default=0)
+              for i in range(len(trace) - 1)]
+    name_w = max(map(len, g.node_names), default=0)
+    lines = [f"{'node':<{name_w}} "
+             + " ".join(f"{i + 1:>{w}}" for i, w in enumerate(widths))]
+    for n in g.nodes():
+        lines.append(f"{g.node_names[n]:<{name_w}} "
+                     + " ".join(f"{c:>{w}}" for c, w in zip(cells[n], widths)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _reachable_part(g):
+    """The nodes reachable from the designated ones, in id order."""
+    keep = {n for n in g.designated if n != NO_NODE}
+    stack = list(keep)
+    while stack:
+        for m in g.succ[stack.pop()]:
+            if m != NO_NODE and m not in keep:
+                keep.add(m)
+                stack.append(m)
+    new = {n: i for i, n in enumerate(sorted(keep))}
+    return validate_graph(
+        g.agents, len(new), [g.labels[n] for n in new],
+        [(new[n], new[m]) for n, m in g.edges() if n in new],
+        {a: new[n] for a, n in enumerate(g.designated) if n != NO_NODE})
+
+
+def test_solve_trace_prints_every_node_row(tmp_path, capsys):
+    """The trace table equals one formatted node by node, on random
+    graphs and on a blow-up, whose copies share their rows."""
+    rng = random.Random(11)
+    graphs = [random_graph(rng, max_nodes=12) for _ in range(20)]
+    core = max((g for g in graphs if g.agents == ABC),
+               key=lambda g: len(list(g.edges())))
+    graphs.append(_reachable_part(blow_up(rng, core, 40)[0]))
+    assert graphs[-1].num_nodes > 100
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.rbr"
+        path.write_text(serialize_rbr(g))
+        g = read_graph(path.read_text())
+        games = {
+            "binary": make_binary_game(g.agents),
+            "gk:2": make_sequence_game(g.agents, 2),
+            f"guess23:{g.num_agents}:6": make_guess_average_game(
+                g.num_agents, 6, agents=g.agents),
+        }
+        for spec, game in games.items():
+            assert main(["solve", str(path), spec]) == 0
+            plain = capsys.readouterr().out
+            assert main(["solve", str(path), spec, "--trace"]) == 0
+            assert capsys.readouterr().out == _reference_table(g, game) + plain
+

@@ -245,6 +245,19 @@ def test_parse_game_rejects_utilities_outside_the_grammar(value):
         parse_game(GAME_HEAD + f"utility a x x {value}\n")
 
 
+def test_parse_game_reads_each_utility_text_alike():
+    """A repeated utility text reads the value of its first line, and a
+    bad one fails on its first line."""
+    text = GAME_HEAD + "utility a x x 1/2\nutility a y x 1/2\n"
+    text += "utility b x x 2/4\nutility b y x 1/2\n"
+    game = parse_game(text)
+    assert {game.utility(a, (x, "x")) for a in (0, 1) for x in "xy"} == {
+        Fraction(1, 2)}
+    bad = GAME_HEAD + "utility a x x 1/2\nutility a y x 1e5\nutility b x x 1e5\n"
+    with pytest.raises(GraphSyntaxError, match="^line 6: bad rational 1e5$"):
+        parse_game(bad)
+
+
 def test_parse_game_reads_signed_fractions_and_decimals():
     text = GAME_HEAD + "utility a x x -1/010\nutility a y x +1.5\n"
     text += "utility b x x 0\nutility b y x 2\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from unittest import mock
 
@@ -31,11 +32,12 @@ from rbr import (
     refine_once,
     validate_graph,
 )
+from rbr.errors import NonTermination
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
 import rbr.solve
 from rbr.solve import safety_bound
-from .conftest import ABC, blow_up, chain, iterated_refinement
+from .conftest import ABC, blow_up, chain, iterated_rationalise, iterated_refinement
 
 
 @st.composite
@@ -313,3 +315,67 @@ def test_worklist_refiner_matches_iterated_refine_once(g, share):
         h = [belief_hierarchy_bounded(g, n, g.num_nodes) for n in g.nodes()]
         assert all(p.same_block(n, m) == (h[n] == h[m])
                    for n in g.nodes() for m in g.nodes())
+
+
+SOLVE_GAMES = {
+    "binary": make_binary_game,
+    "gk:2": lambda agents: make_sequence_game(agents, 2),
+    "gk:3": lambda agents: make_sequence_game(agents, 3),
+    "guess23:6": lambda agents: make_guess_average_game(len(agents), 6, agents=agents),
+}
+
+
+@given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]),
+       st.sampled_from([0.0, 0.5, 2.0]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dirty_set_solve_matches_iterated_rationalise(g, name, share, data):
+    """Whichever rounds key only the predecessors of changed nodes
+    (share 0: none; 2.0: all but the first), the solve has the rounds,
+    iterations and counters of iterating the full ``rationalise``."""
+    if name == "table":
+        game = data.draw(table_games(g.agents))
+    else:
+        game = SOLVE_GAMES[name](g.agents)
+    with mock.patch.object(rbr.solve, "_FULL_ROUND_SHARE", share):
+        rep = rational_solution(g, game, keep_trace=True)
+        if rep.iterations:
+            with pytest.raises(NonTermination):
+                rational_solution(g, game, max_iterations=rep.iterations - 1)
+    trace = iterated_rationalise(g, game)
+    assert rep.trace == trace
+    assert rep.iterations == len(trace) - 2
+    assert rep.solution == trace[-1]
+    assert rep.entries_changed == tuple(
+        sum(map(operator.ne, old, new)) for old, new in zip(trace, trace[1:]))
+    assert len(rep.nodes_keyed) == len(trace) - 1
+
+
+@pytest.mark.parametrize("share", [rbr.solve._FULL_ROUND_SHARE, 2.0])
+@pytest.mark.parametrize("case", ["blow-up", "chain"])
+def test_solve_keys_labels_then_predecessors_of_changes(case, share, corpus3):
+    """Round 1 keys one node per label; every later round keys all nodes
+    or exactly the predecessors of the nodes the round before changed,
+    by the full-pass rule."""
+    if case == "blow-up":
+        core = max(corpus3, key=lambda g: g.num_nodes)
+        g, _ = blow_up(random.Random(3), core, 50)
+        game = make_guess_average_game(3, 6, agents=ABC)
+    else:
+        g = chain(300)
+        game = make_guess_average_game(2, 10, agents=("a", "b"))
+    with mock.patch.object(rbr.solve, "_FULL_ROUND_SHARE", share):
+        rep = rational_solution(g, game, keep_trace=True)
+    n, many = g.num_nodes, g.num_nodes * share
+    changed = [[v for v in g.nodes() if old[v] != new[v]]
+               for old, new in zip(rep.trace, rep.trace[1:])]
+    assert n == 300 and rep.iterations >= 4
+    assert rep.entries_changed == tuple(map(len, changed))
+    assert rep.nodes_keyed[0] == len(set(g.labels))
+    for keyed, before in zip(rep.nodes_keyed[1:], changed):
+        preds = {u for v in before for u in g.predecessors[v]}
+        full = len(before) >= many or len(preds) >= many
+        assert keyed == (n if full else len(preds))
+    assert sum(rep.nodes_keyed) < (rep.iterations + 1) * n
+    if share > 1:
+        assert min(rep.nodes_keyed[1:]) < n
+
