@@ -24,9 +24,9 @@ from . import __version__
 
 
 def _read_text(path: str) -> str:
-    """The file at ``path`` as text; UnicodeError names the path when it
-    is not UTF-8."""
-    with open(path, encoding="utf-8") as fh:
+    """The file at ``path`` as text, without a leading byte-order mark;
+    UnicodeError names the path when it is not UTF-8."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -106,9 +106,9 @@ def cmd_minimize(args) -> int:
     summary = (f"{g.num_nodes} -> {report.output.num_nodes} nodes "
                f"({report.refinement_rounds} refinement rounds)")
     if args.out:
-        print(summary)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        print(summary)
     else:
         # The document goes to stdout, so the summary is a comment in it.
         sys.stdout.write(f"# {summary}\n{text}")

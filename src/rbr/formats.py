@@ -188,6 +188,7 @@ def parse_game(text: str) -> Game:
     agent_id: dict[str, int] = {}
     spaces: dict[int, tuple[str, ...]] = {}
     table: dict[tuple[int, tuple[str, ...]], Fraction] = {}
+    line_of: dict[tuple[int, tuple[str, ...]], int] = {}  # table key -> its line
     # Utility texts repeat across a table, so each distinct one is checked
     # and converted once.
     rationals: dict[str, Fraction] = {}
@@ -238,6 +239,7 @@ def parse_game(text: str) -> Game:
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")
             table[key] = val
+            line_of[key] = lineno
         else:
             raise GraphSyntaxError(lineno, f"unknown directive {kind}")
 
@@ -253,10 +255,10 @@ def parse_game(text: str) -> Game:
                 raise MissingUtilityEntry(
                     1, f"no utility for {name} at outcome {' '.join(profile)}"
                 )
-    for (a, profile) in table:
+    for (_, profile), lineno in line_of.items():
         for b, tok in enumerate(profile):
             if tok not in spaces[b]:
-                raise UnknownIdentifier(1, f"unknown strategy token {tok}")
+                raise UnknownIdentifier(lineno, f"unknown strategy token {tok}")
 
     def utility(a: int, outcome) -> Fraction:
         return table[(a, tuple(outcome))]

@@ -8,10 +8,9 @@ answered on a disjoint union of the two graphs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import (
     AgentUniverseMismatch,
@@ -80,12 +79,6 @@ def finest_partition(g: RbrGraph) -> Partition:
     return _finest_with_rounds(g)[0]
 
 
-# A round keys only the predecessors of the nodes that changed block in
-# the round before, unless these are at least this share of all nodes:
-# then one refine_once pass, which builds its keys in C, is cheaper.
-_FULL_PASS_SHARE = 1 / 4
-
-
 def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
     """Refine from the label partition to the fixpoint.
 
@@ -95,60 +88,32 @@ def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
     included.  Partition, numbering and rounds are those of iterating
     :func:`refine_once` until nothing splits.
 
-    The rounds stay synchronous, but a round keys only the nodes whose
-    key can have changed: the predecessors of the nodes that changed
-    block in the round before (:func:`_split_round`).  Round 1, and any
-    round with too many such nodes, is one full :func:`refine_once`
-    pass instead.  The other rounds run no label check: a partition
-    refined from the label partition cannot mix labels.
+    Round 1 is one :func:`refine_once` pass from the label partition.
+    Every later round is a worklist round (:func:`_split_round`) and runs
+    no label check: a partition refined from the label partition cannot
+    mix labels.  Round 2 keys every node, because round 1 does not record
+    which nodes moved; each later round keys only the nodes whose key can
+    have changed, the predecessors of the nodes that changed block in the
+    round before.
     """
     n = g.num_nodes
-    many = n * _FULL_PASS_SHARE
     p = initial_partition(g)
-    counts, keyed = [p.block_count], 0
-    block = None  # worklist block ids; ``p`` is stale while they are set
-    moved: list[int] | None = None  # None: key every node
+    q = refine_once(g, p)
+    counts, keyed = [p.block_count], n
+    if q.block_count == p.block_count:
+        return p, counts, keyed
+    counts.append(q.block_count)
+    members = list(map(set, q.blocks()))
+    sizes = list(map(len, members))
+    block = [*q.block_of, NO_NODE]
+    dirty = range(n)
     while True:
-        dirty = None
-        if moved is not None:
-            dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
-            if len(dirty) >= many:
-                dirty = None
-        if dirty is None:
-            if block is not None:
-                p, block = _normalise(block[:n]), None
-            nxt = refine_once(g, p)
-            keyed += n
-            if nxt.block_count == p.block_count:
-                return p, counts, keyed
-            moved = _moved_nodes(p, nxt, many)
-            p = nxt
-            counts.append(p.block_count)
-        else:
-            if block is None:
-                members = list(map(set, p.blocks()))
-                sizes = list(map(len, members))
-                block = [*p.block_of, NO_NODE]
-            keyed += len(dirty)
-            moved = _split_round(g.succ, block, sizes, members, dirty)
-            if not moved:
-                return _normalise(block[:n]), counts, keyed
-            counts.append(len(sizes))
-
-
-def _moved_nodes(old: Partition, new: Partition, many: float) -> list[int] | None:
-    """The nodes that leave their block from ``old`` to ``new`` under the
-    smaller-half rule: in each old block, the members of every new block
-    but the largest.  None when there are at least ``many``."""
-    size = Counter(new.block_of)
-    keep: dict[int, int] = {}
-    for k, b in dict(zip(new.block_of, old.block_of)).items():
-        if b not in keep or size[k] > size[keep[b]]:
-            keep[b] = k
-    kept = set(keep.values())
-    if len(new.block_of) - sum(map(size.__getitem__, kept)) >= many:
-        return None
-    return [v for v, k in enumerate(new.block_of) if k not in kept]
+        keyed += len(dirty)
+        moved = _split_round(g.succ, block, sizes, members, dirty)
+        if not moved:
+            return _normalise(block[:n]), counts, keyed
+        counts.append(len(sizes))
+        dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
 
 
 def _split_round(
@@ -156,7 +121,7 @@ def _split_round(
     block: list[int],
     sizes: list[int],
     members: list[set[int]],
-    dirty: set[int],
+    dirty: Collection[int],
 ) -> list[int]:
     """One worklist round: split blocks by the keys of the ``dirty``
     nodes and return the nodes that changed block id.

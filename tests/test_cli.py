@@ -1,3 +1,4 @@
+import codecs
 import os
 import random
 import subprocess
@@ -176,6 +177,38 @@ def test_non_utf8_input_is_usage_error(paths, tmp_path, capsys):
             f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
             "in position 17: invalid continuation byte\n"
         )
+
+
+def test_byte_order_mark_is_skipped(paths, tmp_path, capsys):
+    game = tmp_path / "one.game"
+    game.write_text("game normal-form\nagents a b c\n"
+                    + "".join(f"strategies {a}: x\n" for a in "abc")
+                    + "".join(f"utility {a} x x x 0\n" for a in "abc"))
+
+    def with_bom(arg):
+        if not Path(arg).exists():
+            return arg
+        out = tmp_path / f"bom-{Path(arg).name}"
+        out.write_bytes(codecs.BOM_UTF8 + Path(arg).read_bytes())
+        return str(out)
+
+    for argv in (
+        ["validate", paths["b1"]],
+        ["minimize", paths["b1"]],
+        ["solve", paths["b1"], "binary"],
+        ["solve", paths["b1"], str(game)],
+    ):
+        assert main(argv) == 0
+        expect = capsys.readouterr()
+        assert main([argv[0], *map(with_bom, argv[1:])]) == 0
+        assert capsys.readouterr() == expect
+
+
+def test_minimize_to_unwritable_path_prints_no_summary(paths, capsys):
+    assert main(["minimize", paths["b1"], "--out", "/no/such/dir/min.rbr"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_python_dash_m_runs_the_cli(paths):

@@ -160,6 +160,14 @@ def test_parse_game_duplicate_strategy_token():
         parse_game(doc)
 
 
+def test_parse_game_reports_the_line_of_an_unknown_strategy_token():
+    lines = GAME_DOC.splitlines(keepends=True)
+    doc = "".join(lines[:6] + ["utility b x z 1\n"] + lines[6:])
+    with pytest.raises(UnknownIdentifier, match="^line 7: unknown strategy token z$") as info:
+        parse_game(doc)
+    assert info.value.line == 7
+
+
 def test_parse_game_needs_header():
     with pytest.raises(GraphSyntaxError):
         parse_game("agents a b\n")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rbr import (
@@ -14,7 +16,7 @@ from rbr import (
 )
 from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
 from rbr.partition import Partition, disjoint_union
-from .conftest import ABC, chain
+from .conftest import ABC, blow_up, chain
 
 
 def test_initial_partition_is_label_classes(b1, b5):
@@ -157,3 +159,23 @@ def test_long_chain_refines_in_linear_work():
     assert report.block_map == tuple(range(n))
     assert report.output.succ == g.succ
     assert report.output.labels == g.labels
+
+
+def test_one_round_blow_up_keys_each_node_twice():
+    # A blow-up that one round makes stable, like the refine benchmark's
+    # 10-agent ones: round 1 refines, round 2 keys every node to confirm,
+    # and no round needs the predecessor lists.
+    agents = tuple(f"ag{i}" for i in range(10))
+    # Agent 0's node i believes only in agent i+1's node 9+i, which
+    # believes in node i: round 1 tells agent 0's nodes apart.
+    labels = [0] * 9 + list(range(1, 10))
+    edges = [(i, 9 + i) for i in range(9)] + [(9 + i, i) for i in range(9)]
+    designation = {0: 0, **{a: 8 + a for a in range(1, 10)}}
+    core = validate_graph(agents, 18, labels, edges, designation)
+    g, image = blow_up(random.Random(7), core, 40)
+    report = minimise(g)
+    assert report.refinement_rounds == 1
+    assert report.blocks_per_round == (10, 18)
+    assert report.nodes_keyed == 2 * g.num_nodes
+    assert "predecessors" not in g.__dict__
+    assert report.block_map == tuple(image)

@@ -297,15 +297,13 @@ def refinement_inputs(draw):
     return g
 
 
-@given(refinement_inputs(), st.sampled_from([0.0, 0.25, 2.0]))
+@given(refinement_inputs())
 @settings(max_examples=200, deadline=None)
-def test_worklist_refiner_matches_iterated_refine_once(g, share):
-    """Whichever rounds run as worklist rounds (share 0: none; 2.0: all
-    but the first), the refiner gives the partition and the rounds of
-    iterating refine_once, and on small graphs the hierarchy classes."""
-    with mock.patch.object(rbr.partition, "_FULL_PASS_SHARE", share):
-        p = finest_partition(g)
-        report = minimise(g)
+def test_worklist_refiner_matches_iterated_refine_once(g):
+    """The refiner gives the partition and the rounds of iterating
+    refine_once, and on small graphs the hierarchy classes."""
+    p = finest_partition(g)
+    report = minimise(g)
     expect, counts = iterated_refinement(g)
     assert p == expect
     assert report.block_map == expect.block_of
