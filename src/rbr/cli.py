@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .errors import NonTermination, RbrError
@@ -49,13 +50,18 @@ def _count(text: str) -> int:
     return value
 
 
+_SPEC_NUMBER = re.compile(r"-?[0-9]+")
+
+
 def _spec_numbers(spec: str, arity: int) -> list[int]:
-    """The ``arity`` integer fields after the name of a builtin game spec."""
+    """The ``arity`` integer fields after the name of a builtin game spec,
+    each an optional ``-`` and ASCII digits (``int`` alone would also take
+    spaces, ``+``, ``_`` and non-ASCII digits)."""
     fields = spec.split(":")[1:]
-    if len(fields) == arity:
+    if len(fields) == arity and all(map(_SPEC_NUMBER.fullmatch, fields)):
         try:
             return [int(f) for f in fields]
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise RbrError(
         f"malformed game spec {spec!r}; expected guess23:<agents>:<max> or gk:<k>"

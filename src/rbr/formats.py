@@ -58,8 +58,93 @@ def parse_rbr(text: str) -> RawGraph:
 
     Directives: ``agents`` (once, first), ``node <id> <agent>``,
     ``edge <from> <to>``, ``real <agent> <node>``.  Names must be
-    declared before use.
+    declared before use.  A document in the layout that
+    :func:`serialize_rbr` writes is read in bulk; any other document, and
+    every error, goes through the line parser.
     """
+    raw = _parse_layout(text)
+    return raw if raw is not None else _parse_lines(text)
+
+
+# Characters of body text per bulk slice: large enough that the per-slice
+# calls cost nothing, small enough that a slice's token list stays small
+# beside the graph (a whole-document split doubled the parse's peak memory).
+_CHUNK = 1 << 16
+
+
+def _parse_layout(text: str) -> RawGraph | None:
+    """The document's components if it is in :func:`serialize_rbr`'s
+    layout, else None.
+
+    The layout is one ``agents`` line, then all ``node`` lines, then all
+    ``edge`` lines, then all ``real`` lines, with one space between
+    tokens, ``"\\n"`` after every line and no ``#``.  The body is read in
+    slices cut at line ends, each split once into its kind, first and
+    second columns.  A slice counts only if its columns, joined back with
+    spaces and line ends, give it exactly: then its lines are the lines
+    the line parser would see.  A document the line parser would reject
+    (a repeated or unknown name, say) returns None too, so that parser
+    reports the error with its message and line.
+    """
+    start = text.find("\n") + 1
+    names = text[:start].split()
+    if (
+        "#" in text
+        or names[:1] != ["agents"]
+        or len(names) < 2
+        or " ".join(names) + "\n" != text[:start]
+    ):
+        return None
+    agents = tuple(names[1:])
+    agent_id = {name: a for a, name in enumerate(agents)}
+    if len(agent_id) != len(agents):
+        return None
+    node_id: dict[str, int] = {}
+    labels: list[int] = []
+    edges: list[tuple[int, int]] = []
+    designation: dict[int, int] = {}
+
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        chunk = text[start:end]
+        start = end
+        tokens = chunk.split()
+        kinds, firsts, seconds = tokens[0::3], tokens[1::3], tokens[2::3]
+        if "\n".join(map(" ".join, zip(kinds, firsts, seconds))) + "\n" != chunk:
+            return None
+        # Node lines run up to `mid`, edge lines up to `tail`, real lines
+        # to the end: within the slice, and across slices too.
+        mid = kinds.count("node")
+        tail = mid + kinds.count("edge")
+        layout = ["node"] * mid + ["edge"] * (tail - mid)
+        if kinds != layout + ["real"] * (len(kinds) - tail):
+            return None
+        if mid and (edges or designation) or tail > mid and designation:
+            return None
+        before = len(designation)
+        try:
+            node_id.update(zip(firsts[:mid], range(len(labels), len(labels) + mid)))
+            labels.extend(map(agent_id.__getitem__, seconds[:mid]))
+            edges.extend(zip(map(node_id.__getitem__, firsts[mid:tail]),
+                             map(node_id.__getitem__, seconds[mid:tail])))
+            designation.update(zip(map(agent_id.__getitem__, firsts[tail:]),
+                                   map(node_id.__getitem__, seconds[tail:])))
+        except KeyError:
+            return None
+        if len(node_id) != len(labels) or len(designation) - before != len(kinds) - tail:
+            return None
+
+    return RawGraph(
+        agents=agents,
+        node_names=tuple(node_id),
+        labels=tuple(labels),
+        edges=tuple(edges),
+        designation=designation,
+    )
+
+
+def _parse_lines(text: str) -> RawGraph:
+    """:func:`parse_rbr` for any document, one line at a time."""
     agents: tuple[str, ...] | None = None
     agent_id: dict[str, int] = {}
     node_id: dict[str, int] = {}

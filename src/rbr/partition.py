@@ -18,7 +18,8 @@ from .errors import (
     NotCanonical,
     PartialMapping,
 )
-from .graph import NO_NODE, RbrGraph, successor_keys, validate_graph
+from .graph import NO_NODE, RbrGraph, successor_keys
+from .graph import validate_graph  # unused here; perfbench/tracing.py patches it
 
 
 @dataclass(frozen=True)
@@ -164,20 +165,20 @@ def disjoint_union(ga: RbrGraph, gb: RbrGraph) -> RbrGraph:
     """Union of two graphs over a shared agent universe.
 
     Designations are dropped and reachability is not enforced: the union
-    exists only to compare belief hierarchies, which ignore both.
+    exists only to compare belief hierarchies, which ignore both.  Both
+    graphs are valid, so the union is built as it is, unchecked: gb's
+    successors move up by ga's node count, and ``NO_NODE`` (-1) reads the
+    ``NO_NODE`` appended to the shift.
     """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
-    off = ga.num_nodes
-    edges = list(ga.edges()) + [(n + off, m + off) for n, m in gb.edges()]
-    return validate_graph(
-        ga.agents,
-        ga.num_nodes + gb.num_nodes,
-        ga.labels + gb.labels,
-        edges,
-        {},
+    shift = (*range(ga.num_nodes, ga.num_nodes + gb.num_nodes), NO_NODE)
+    return RbrGraph(
+        agents=ga.agents,
+        labels=ga.labels + gb.labels,
+        succ=ga.succ + tuple(tuple(map(shift.__getitem__, row)) for row in gb.succ),
+        designated=(NO_NODE,) * ga.num_agents,
         node_names=ga.node_names + gb.node_names,
-        require_reachable=False,
     )
 
 

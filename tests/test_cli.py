@@ -17,6 +17,7 @@ from rbr import (
     serialize_rbr,
     validate_graph,
 )
+from rbr import formats
 from rbr.cli import main
 from rbr.games import strategy_label
 from .conftest import ABC, blow_up, iterated_rationalise, random_graph
@@ -53,6 +54,8 @@ def test_minimize(paths, tmp_path, capsys):
     assert main(["minimize", paths["b5"], "--out", str(out)]) == 0
     assert "7 -> 3 nodes" in capsys.readouterr().out
     assert main(["equiv", str(out), paths["b3"]]) == 0
+    # The written file is in the layout that graph files are read fastest in.
+    assert formats._parse_layout(out.read_text()) is not None
 
 
 def test_minimize_identity(paths, capsys):
@@ -142,9 +145,17 @@ def test_export_dot(paths, capsys):
 
 def test_bad_game_spec_is_usage_error(paths, capsys):
     assert main(["solve", paths["b1"], "guess23:2:10"]) == 2
-    for spec in ["gk:x", "gk:", "gk:2:3", "guess23:3", "guess23:3:x", "guess23:a:10"]:
+    for spec in ["gk:x", "gk:", "gk:2:3", "guess23:3", "guess23:3:x", "guess23:a:10",
+                 "guess23:3: 4", "gk:1_0", "guess23:3:+4", "gk:\uff12", "gk:2\n",
+                 "gk:" + "1" * 5000]:
         assert main(["solve", paths["b1"], spec]) == 2
         assert "malformed game spec" in capsys.readouterr().err
+
+
+def test_non_positive_sequence_spec_is_usage_error(paths, capsys):
+    for spec in ["gk:0", "gk:-1"]:
+        assert main(["solve", paths["b1"], spec]) == 2
+        assert capsys.readouterr().err == "error: sequence length bound must be positive\n"
 
 
 def test_solve_honours_max_iterations(paths, capsys):

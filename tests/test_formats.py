@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +25,8 @@ from rbr.errors import (
     SelfBelief,
     UnknownIdentifier,
 )
+from rbr import formats
+from .conftest import chain
 from .test_properties import graphs
 
 B1_DOC = """\
@@ -203,6 +206,120 @@ def test_serialize_corpus_round_trip(corpus):
 def test_serialize_read_round_trip(g):
     text = serialize_rbr(g)
     assert serialize_rbr(read_graph(text)) == text
+
+
+def test_serialized_graphs_take_the_layout_reader(corpus, b1, b2, b3, b4, b5):
+    """The writer's layout and the bulk reader's stay in step."""
+    for g in [*corpus, b1, b2, b3, b4, b5]:
+        text = serialize_rbr(g)
+        raw = formats._parse_layout(text)
+        assert raw is not None and raw == formats._parse_lines(text)
+
+
+LAYOUT_MUTATIONS = ["none", "swap kinds", "real before edge", "doubled space",
+                    "tab", "crlf", "no final newline", "name with #",
+                    "node named node", "node named edge", "duplicate line",
+                    "unknown agent", "unknown node", "unknown directive"]
+
+
+def _mutated(text: str, mutation: str, pick: int, lo: int) -> tuple[str, bool]:
+    """``text`` with ``mutation`` at the line ``pick`` chooses among the
+    lines from ``lo`` on that it applies to, and whether the result left
+    the layout that ``serialize_rbr`` writes."""
+    lines = text.split("\n")[:-1]
+    kinds = [line.split(" ")[0] for line in lines]
+
+    def line_of(*wanted):
+        options = [i for i in range(lo, len(lines)) if kinds[i] in wanted]
+        return options[pick % len(options)] if options else None
+
+    def text_of(lines):
+        return "\n".join(lines) + "\n"
+
+    if mutation == "no final newline":
+        return text[:-1], True
+    if mutation == "real before edge":
+        order = {"edge": 2, "real": 1}
+        moved = sorted(range(len(lines)), key=lambda i: order.get(kinds[i], 0))
+        return text_of(lines[i] for i in moved), "edge" in kinds and "real" in kinds
+    i = line_of("agents", "node", "edge", "real")
+    if mutation in ("doubled space", "tab", "crlf"):
+        if mutation == "crlf":
+            lines[i] += "\r"
+        else:
+            lines[i] = lines[i].replace(" ", "  " if mutation == "doubled space" else "\t", 1)
+        return text_of(lines), True
+    if mutation == "swap kinds":
+        i = line_of("node", "edge")
+        j = next((j for j in range(i + 1, len(lines)) if kinds[j] != kinds[i]), None)
+        if j is None:
+            return text, False
+        lines[i], lines[j] = lines[j], lines[i]
+        return text_of(lines), True
+    if mutation == "duplicate line":
+        # A repeated edge is allowed, a repeated node or real line is not.
+        i = line_of("node", "edge", "real")
+        lines.insert(i, lines[i])
+        return text_of(lines), kinds[i] != "edge"
+    if mutation == "unknown directive":
+        lines[i] = lines[i].replace(kinds[i], kinds[i].upper(), 1)
+        return text_of(lines), True
+    wanted = {"unknown agent": ("node", "real"), "unknown node": ("edge", "real")}
+    i = line_of(*wanted.get(mutation, ("node",)))
+    if i is None:
+        return text, False
+    tokens = lines[i].split(" ")
+    if mutation in ("unknown agent", "unknown node"):
+        tokens[1 if (mutation, kinds[i]) == ("unknown agent", "real") else 2] = "zz"
+        lines[i] = " ".join(tokens)
+        return text_of(lines), True
+    # Rename node tokens[1] on every line; node names never equal agent
+    # names or directive words in these documents.
+    old, new = tokens[1], {"name with #": "x#y", "node named node": "node",
+                           "node named edge": "edge"}.get(mutation, tokens[1])
+    lines[1:] = [
+        " ".join([kind, *(new if t == old else t for t in rest)])
+        for kind, *rest in (line.split(" ") for line in lines[1:])
+    ]
+    return text_of(lines), "#" in new
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: a RawGraph, or its error's class,
+    message and line."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _check_layout_reader(text: str, mutation: str, pick: int, lo: int) -> None:
+    text, irregular = _mutated(text, mutation, pick, lo)
+    assert (formats._parse_layout(text) is None) == irregular
+    assert _outcome(parse_rbr, text) == _outcome(formats._parse_lines, text)
+
+
+@given(graphs(), st.sampled_from(LAYOUT_MUTATIONS), st.integers(0, 40),
+       st.sampled_from([1, 20, formats._CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_layout_reader_matches_the_line_parser(g, mutation, pick, chunk):
+    """With the bulk path on or off, a document gives an equal RawGraph
+    or the same error, message and line.  Small slices (one line each at
+    size 1) put the layout's rules across slice boundaries."""
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        _check_layout_reader(serialize_rbr(g), mutation, pick, 0)
+
+
+LONG_DOCUMENT = serialize_rbr(chain(6000))
+
+
+@given(st.sampled_from(LAYOUT_MUTATIONS), st.integers(0, 10**4))
+@settings(max_examples=40, deadline=None)
+def test_layout_reader_matches_the_line_parser_past_the_first_slice(mutation, pick):
+    text = LONG_DOCUMENT
+    boundary = text.find("\n", text.find("\n") + formats._CHUNK) + 1
+    assert 0 < boundary < text.find("\nedge ")
+    _check_layout_reader(text, mutation, pick, text.count("\n", 0, boundary))
 
 
 # Lines are a directive word and arguments drawn from names, rationals

@@ -1,6 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from rbr import (
     check_local_isomorphism,
@@ -15,8 +17,10 @@ from rbr import (
     validate_graph,
 )
 from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
+import rbr.partition
 from rbr.partition import Partition, disjoint_union
 from .conftest import ABC, blow_up, chain
+from .test_properties import graphs
 
 
 def test_initial_partition_is_label_classes(b1, b5):
@@ -179,3 +183,49 @@ def test_one_round_blow_up_keys_each_node_twice():
     assert report.nodes_keyed == 2 * g.num_nodes
     assert "predecessors" not in g.__dict__
     assert report.block_map == tuple(image)
+
+
+def _validated_union(ga, gb):
+    """The union rebuilt from edges through ``validate_graph``: the
+    reference for ``disjoint_union``'s unchecked build."""
+    off = ga.num_nodes
+    edges = list(ga.edges()) + [(n + off, m + off) for n, m in gb.edges()]
+    return validate_graph(
+        ga.agents,
+        ga.num_nodes + gb.num_nodes,
+        ga.labels + gb.labels,
+        edges,
+        {},
+        node_names=ga.node_names + gb.node_names,
+        require_reachable=False,
+    )
+
+
+def _check_union(ga, gb):
+    union = disjoint_union(ga, gb)
+    assert union == _validated_union(ga, gb)
+
+    def answers():
+        return graphs_equivalent(ga, gb), [
+            nodes_doxastically_equivalent(ga, na, gb, nb)
+            for na in ga.nodes()
+            for nb in gb.nodes()
+        ]
+
+    direct = answers()
+    with mock.patch.object(rbr.partition, "disjoint_union", _validated_union):
+        assert answers() == direct
+
+
+def test_disjoint_union_equals_the_validated_build(corpus, b1, b2, b3, b4, b5):
+    graphs = [*corpus, b1, b2, b3, b4, b5, validate_graph(ABC, 0, [], [], {})]
+    for ga in graphs:
+        for gb in graphs:
+            if ga.agents == gb.agents:
+                _check_union(ga, gb)
+
+
+@given(graphs(), graphs())
+@settings(max_examples=100, deadline=None)
+def test_drawn_disjoint_union_equals_the_validated_build(ga, gb):
+    _check_union(ga, gb)
