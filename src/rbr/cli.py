@@ -38,31 +38,37 @@ def _load_graph(path: str) -> RbrGraph:
     return read_graph(_read_text(path))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int | None:
+    """``text`` as an int when it is an optional ``-`` and ASCII digits,
+    else None (``int`` alone would also take spaces, ``+``, ``_`` and
+    non-ASCII digits)."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _count(text: str) -> int:
-    """argparse type of a non-negative integer option; a non-integer gets
-    argparse's own ``int`` message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """argparse type of a non-negative integer option; any other spelling
+    gets argparse's own ``int`` message."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
 
 
-_SPEC_NUMBER = re.compile(r"-?[0-9]+")
-
-
 def _spec_numbers(spec: str, arity: int) -> list[int]:
-    """The ``arity`` integer fields after the name of a builtin game spec,
-    each an optional ``-`` and ASCII digits (``int`` alone would also take
-    spaces, ``+``, ``_`` and non-ASCII digits)."""
-    fields = spec.split(":")[1:]
-    if len(fields) == arity and all(map(_SPEC_NUMBER.fullmatch, fields)):
-        try:
-            return [int(f) for f in fields]
-        except ValueError:  # more digits than int() converts
-            pass
+    """The ``arity`` integer fields after the name of a builtin game spec."""
+    numbers = list(map(_integer, spec.split(":")[1:]))
+    if len(numbers) == arity and None not in numbers:
+        return numbers
     raise RbrError(
         f"malformed game spec {spec!r}; expected guess23:<agents>:<max> or gk:<k>"
     )
@@ -125,7 +131,7 @@ def cmd_equiv(args) -> int:
     ga = _load_graph(args.graph_a)
     gb = _load_graph(args.graph_b)
     if ga.agents != gb.agents:
-        print("not equivalent: agent universes differ", file=sys.stderr)
+        print("not equivalent: agent universes differ")
         return 1
     da, db = ga.designation_domain(), gb.designation_domain()
     if da != db:

@@ -121,16 +121,6 @@ def safety_bound(g: RbrGraph, game: Game) -> int:
     )
 
 
-# A round whose changed nodes, or their predecessors, are at least this
-# share of the nodes is one full ``rationalise`` pass, whose keys are
-# built in C.  On 4k-15k-node 3-agent blow-ups a round that keys half
-# the nodes costs 0.4-0.75 of a full pass, and one that keys three
-# quarters 0.6-1.25.  Whole solves of such graphs take about the same
-# time at shares 1/4 to 1, but 1.3x as long with no dirty rounds (share
-# 0) and 1.6x with no full rounds after the first (share 2).
-_FULL_ROUND_SHARE = 1 / 2
-
-
 def rational_solution(
     g: RbrGraph, game: Game, keep_trace: bool = False, max_iterations: int | None = None
 ) -> RationalSolutionReport:
@@ -145,32 +135,29 @@ def rational_solution(
     key can have changed.  In R^0 every entry is its agent's full space,
     which is also the fill where a node has no successor, so round 1
     keys the first node of each label and maps the answers over the
-    labels.  A later round keys the predecessors of the nodes whose
-    entry changed in the round before; every other node keeps its key,
-    and so its entry.  A round that would key at least
-    ``_FULL_ROUND_SHARE`` of the nodes is one full :func:`rationalise`
-    pass instead, whose keys are built in C; so is every round after one
-    that changed that many entries, which spares building the
-    predecessor lists.
+    labels.  After a round that changed every entry, the next is one
+    full :func:`rationalise` pass, which needs no predecessor lists.
+    After any other round, the next keys the predecessors of the nodes
+    whose entry changed; every other node keeps its key, and so its
+    entry.
     """
     check_compatible(g, game)
     bound = safety_bound(g, game) if max_iterations is None else max_iterations
-    many = g.num_nodes * _FULL_ROUND_SHARE
     current = full_solution(g, game)
     trace = [current] if keep_trace else None
     memo: dict = {}
     keyed: list[int] = []
     changes: list[int] = []
-    dirty = None  # the nodes to key; None: every node
     for i in range(bound + 1):
-        if dirty is None:
-            if i:
-                nxt, count = rationalise(g, game, current, memo), g.num_nodes
-            else:
-                nxt, count = _first_round(g, game, current, memo)
+        if not i:
+            nxt, count = _first_round(g, game, current, memo)
+            changed = _changed(current, nxt)
+        elif len(changed) == g.num_nodes:
+            nxt, count = rationalise(g, game, current, memo), g.num_nodes
             changed = _changed(current, nxt)
         else:
-            nxt, changed = _dirty_round(g, game, current, memo, dirty)
+            dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, changed)))
+            nxt, changed = _dirty_round(g, game, current, memo, list(dirty))
             count = len(dirty)
         keyed.append(count)
         changes.append(len(changed))
@@ -185,7 +172,6 @@ def rational_solution(
                 entries_changed=tuple(changes),
             )
         current = nxt
-        dirty = _dirty_nodes(g, changed, many)
     raise NonTermination(f"no fixpoint within {bound} rationalisation rounds")
 
 
@@ -215,15 +201,6 @@ def _dirty_round(
 def _changed(old: Solution, new: Solution) -> list[int]:
     """The nodes whose entry differs from ``old`` to ``new``."""
     return list(compress(range(len(new)), map(ne, old, new)))
-
-
-def _dirty_nodes(g: RbrGraph, changed: list[int], many: float) -> list[int] | None:
-    """The predecessors of the ``changed`` nodes, or None (a full round)
-    when either are at least ``many``."""
-    if len(changed) >= many:
-        return None
-    dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, changed)))
-    return None if len(dirty) >= many else list(dirty)
 
 
 def doxastic_rationalisability(g: RbrGraph, game: Game) -> tuple:

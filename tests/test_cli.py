@@ -172,6 +172,24 @@ def test_negative_max_iterations_is_usage_error(paths, capsys):
     assert "--max-iterations: must not be negative: -1" in capsys.readouterr().err
 
 
+def test_max_iterations_takes_only_ascii_integers(paths, capsys):
+    """--max-iterations reads integers as game specs do: an optional ``-``
+    and ASCII digits."""
+    for text in ["1_0", "+4", "\uff10", " 4"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", paths["b1"], "binary", "--max-iterations", text])
+        assert exc.value.code == 2
+        assert f"--max-iterations: invalid int value: {text!r}" in capsys.readouterr().err
+
+
+def test_equiv_of_different_agent_universes_is_a_stdout_verdict(paths, tmp_path, capsys):
+    two = tmp_path / "two.rbr"
+    two.write_text("agents a b\nnode n1 a\nreal a n1\n")
+    assert main(["equiv", str(two), paths["b1"]]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("not equivalent: agent universes differ\n", "")
+
+
 def test_non_utf8_input_is_usage_error(paths, tmp_path, capsys):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("agents a b\nnode n\xe9 a\n".encode("latin-1"))
@@ -232,6 +250,26 @@ def test_python_dash_m_runs_the_cli(paths):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert (done.returncode, done.stdout) == (0, "valid: 3 nodes, 3 agents\n")
+
+
+def test_package_imports_only_the_standard_library():
+    """Importing rbr, its CLI and its oracle loads no module outside the
+    standard library; modules loaded before rbr (site hooks) are left out."""
+    src = str(Path(rbr.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rbr, rbr.cli, rbr.oracle\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - {'rbr'} - sys.stdlib_module_names))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_solve_trace_runs_one_fixpoint(paths, capsys, monkeypatch):

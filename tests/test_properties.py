@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -323,22 +322,20 @@ SOLVE_GAMES = {
 }
 
 
-@given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]),
-       st.sampled_from([0.0, 0.5, 2.0]), st.data())
+@given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]), st.data())
 @settings(max_examples=200, deadline=None)
-def test_dirty_set_solve_matches_iterated_rationalise(g, name, share, data):
-    """Whichever rounds key only the predecessors of changed nodes
-    (share 0: none; 2.0: all but the first), the solve has the rounds,
-    iterations and counters of iterating the full ``rationalise``."""
+def test_dirty_set_solve_matches_iterated_rationalise(g, name, data):
+    """Whichever rounds key only the predecessors of changed nodes, the
+    solve has the rounds, iterations and counters of iterating the full
+    ``rationalise``."""
     if name == "table":
         game = data.draw(table_games(g.agents))
     else:
         game = SOLVE_GAMES[name](g.agents)
-    with mock.patch.object(rbr.solve, "_FULL_ROUND_SHARE", share):
-        rep = rational_solution(g, game, keep_trace=True)
-        if rep.iterations:
-            with pytest.raises(NonTermination):
-                rational_solution(g, game, max_iterations=rep.iterations - 1)
+    rep = rational_solution(g, game, keep_trace=True)
+    if rep.iterations:
+        with pytest.raises(NonTermination):
+            rational_solution(g, game, max_iterations=rep.iterations - 1)
     trace = iterated_rationalise(g, game)
     assert rep.trace == trace
     assert rep.iterations == len(trace) - 2
@@ -348,32 +345,47 @@ def test_dirty_set_solve_matches_iterated_rationalise(g, name, share, data):
     assert len(rep.nodes_keyed) == len(trace) - 1
 
 
-@pytest.mark.parametrize("share", [rbr.solve._FULL_ROUND_SHARE, 2.0])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("case", ["blow-up", "chain"])
-def test_solve_keys_labels_then_predecessors_of_changes(case, share, corpus3):
-    """Round 1 keys one node per label; every later round keys all nodes
-    or exactly the predecessors of the nodes the round before changed,
-    by the full-pass rule."""
+def test_solve_keys_labels_then_predecessors_of_changes(case, scale, corpus3):
+    """Round 1 keys one node per label; a round after one that changed
+    every entry keys all nodes, and any other round exactly the
+    predecessors of the nodes the round before changed.  The rule has
+    no size threshold, so it holds alike on 150 and on 600 nodes
+    (``scale`` times 300)."""
+    size = int(300 * scale)
     if case == "blow-up":
         core = max(corpus3, key=lambda g: g.num_nodes)
-        g, _ = blow_up(random.Random(3), core, 50)
+        g, _ = blow_up(random.Random(3), core, size // core.num_nodes)
         game = make_guess_average_game(3, 6, agents=ABC)
     else:
-        g = chain(300)
+        g = chain(size)
         game = make_guess_average_game(2, 10, agents=("a", "b"))
-    with mock.patch.object(rbr.solve, "_FULL_ROUND_SHARE", share):
-        rep = rational_solution(g, game, keep_trace=True)
-    n, many = g.num_nodes, g.num_nodes * share
+    rep = rational_solution(g, game, keep_trace=True)
+    n = g.num_nodes
     changed = [[v for v in g.nodes() if old[v] != new[v]]
                for old, new in zip(rep.trace, rep.trace[1:])]
-    assert n == 300 and rep.iterations >= 4
+    assert n == size and rep.iterations >= 4
     assert rep.entries_changed == tuple(map(len, changed))
     assert rep.nodes_keyed[0] == len(set(g.labels))
     for keyed, before in zip(rep.nodes_keyed[1:], changed):
         preds = {u for v in before for u in g.predecessors[v]}
-        full = len(before) >= many or len(preds) >= many
-        assert keyed == (n if full else len(preds))
+        assert keyed == (n if len(before) == n else len(preds))
     assert sum(rep.nodes_keyed) < (rep.iterations + 1) * n
-    if share > 1:
-        assert min(rep.nodes_keyed[1:]) < n
+    assert min(rep.nodes_keyed[1:]) < n
+
+
+@pytest.mark.parametrize("name", ["binary", "gk:3"])
+def test_solve_whose_rounds_change_every_entry_builds_no_predecessors(name, corpus3):
+    """When every round but the last changes all n entries, every round
+    after the first is a full pass, and the predecessor lists are never
+    built."""
+    core = max(corpus3, key=lambda g: g.num_nodes)
+    g, _ = blow_up(random.Random(3), core, 20)
+    rep = rational_solution(g, SOLVE_GAMES[name](g.agents))
+    n = g.num_nodes
+    assert rep.iterations >= 1
+    assert rep.entries_changed[:-1] == (n,) * rep.iterations
+    assert rep.nodes_keyed[1:] == (n,) * rep.iterations
+    assert "predecessors" not in g.__dict__
 
