@@ -51,8 +51,10 @@ class Game:
     strategies: tuple[tuple[Strategy, ...], ...]
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
-    # Per-agent integer payoff rows, filled on first use by _payoff_rows.
-    # Excluded from init, so dataclasses.replace starts an empty cache.
+    # Per-agent class table, filled on first use by _payoff_classes: the
+    # class of each payoff-table column and the int rows over one column
+    # per class.  Excluded from init, so dataclasses.replace starts an
+    # empty cache.
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -185,19 +187,29 @@ def _payoff_rows(game: Game, a: int) -> list[list[int]]:
     which keeps the order exact: ``utility.rows`` when the utility has
     it, else the agent's common denominator over per-cell utilities.
     """
-    rows = game._rows.get(a)
-    if rows is None and hasattr(game.utility, "rows"):
-        rows = game._rows[a] = game.utility.rows(a)
-    if rows is None:
-        axes = list(game.strategies)
-        utilities = []
-        for s in game.strategies[a]:
-            axes[a] = (s,)
-            utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
-        den = math.lcm(*(u.denominator for row in utilities for u in row))
-        rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
-        game._rows[a] = rows
-    return rows
+    if hasattr(game.utility, "rows"):
+        return game.utility.rows(a)
+    axes = list(game.strategies)
+    utilities = []
+    for s in game.strategies[a]:
+        axes[a] = (s,)
+        utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
+    den = math.lcm(*(u.denominator for row in utilities for u in row))
+    return [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
+
+
+def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Agent ``a``'s payoff table quotiented by equal columns, cached on
+    ``game._rows``: the class of each column of :func:`_payoff_rows`
+    (numbered by first appearance), and the rows over one column per
+    class.  Opponent profiles with equal columns pay every strategy of
+    ``a`` alike, so no dominance test can tell them apart."""
+    table = game._rows.get(a)
+    if table is None:
+        index: dict = {}
+        classes = [index.setdefault(c, len(index)) for c in zip(*_payoff_rows(game, a))]
+        table = game._rows[a] = (classes, list(zip(*index)))
+    return table
 
 
 def _scene_columns(game: Game, scene: ReasoningScene) -> list[int]:
@@ -212,7 +224,8 @@ def _scene_columns(game: Game, scene: ReasoningScene) -> list[int]:
             raise ForeignStrategy(
                 f"opponent set for agent {b} is empty or leaves its space"
             )
-        columns = [c * len(space) + i for c in columns for i in picked]
+        radix = len(space)
+        columns = [c * radix + i for c in columns for i in picked]
     return columns
 
 
@@ -222,8 +235,9 @@ def rational_response(
     """Undominated strategies of ``a`` in ``scene``; never empty.
 
     Utility games are solved on the agent's integer payoff table (at most
-    ``cap`` cells, else SizeCap); compare-only games by pairwise
-    :func:`dominates` checks.
+    ``cap`` cells, else SizeCap) quotiented by equal columns: the vectors
+    compared hold one entry per column class the scene hits.  Compare-only
+    games use pairwise :func:`dominates` checks.
     """
     if scene.owner != a:
         raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
@@ -239,10 +253,15 @@ def rational_response(
     cells = math.prod(len(sp) for sp in game.strategies)
     _check_cells(f"payoff table of agent {a}", cells, cap)
     columns = _scene_columns(game, scene)
-    vectors = [list(map(row.__getitem__, columns)) for row in _payoff_rows(game, a)]
-    # A strict dominator has a larger sum, and a dominated strategy always
-    # has an undominated dominator, so checking each vector against the
-    # undominated ones already kept, in order of decreasing sum, is exact.
+    if not space:
+        return frozenset()
+    classes, table = _payoff_classes(game, a)
+    hit = set(map(classes.__getitem__, columns))
+    vectors = [list(map(row.__getitem__, hit)) for row in table]
+    # A strict dominator has a larger sum over classes, and a dominated
+    # strategy always has an undominated dominator, so checking each vector
+    # against the undominated ones already kept, in order of decreasing
+    # sum, is exact.
     kept: list[int] = []
     for i in sorted(range(len(space)), key=lambda i: sum(vectors[i]), reverse=True):
         v = vectors[i]

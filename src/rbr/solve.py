@@ -107,10 +107,12 @@ class RationalSolutionReport:
     solution: Solution
     iterations: int
     trace: tuple | None = None  # R^0 .. R^{iterations+1} when requested
-    # One count per round, R^1 .. R^{iterations+1}: the nodes keyed, and
-    # the entries that differ from the round before.
+    # One count per round, R^1 .. R^{iterations+1}: the nodes keyed, the
+    # entries that differ from the round before, and the scenes answered
+    # (memo misses; a scene met in an earlier round is not answered again).
     nodes_keyed: tuple[int, ...] = ()
     entries_changed: tuple[int, ...] = ()
+    scenes_answered: tuple[int, ...] = ()
 
 
 def safety_bound(g: RbrGraph, game: Game) -> int:
@@ -148,7 +150,9 @@ def rational_solution(
     memo: dict = {}
     keyed: list[int] = []
     changes: list[int] = []
+    answered: list[int] = []
     for i in range(bound + 1):
+        known = len(memo)
         if not i:
             nxt, count = _first_round(g, game, current, memo)
             changed = _changed(current, nxt)
@@ -161,6 +165,7 @@ def rational_solution(
             count = len(dirty)
         keyed.append(count)
         changes.append(len(changed))
+        answered.append(len(memo) - known)
         if trace is not None:
             trace.append(nxt)
         if not changed:
@@ -170,6 +175,7 @@ def rational_solution(
                 trace=None if trace is None else tuple(trace),
                 nodes_keyed=tuple(keyed),
                 entries_changed=tuple(changes),
+                scenes_answered=tuple(answered),
             )
         current = nxt
     raise NonTermination(f"no fixpoint within {bound} rationalisation rounds")

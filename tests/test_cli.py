@@ -87,6 +87,14 @@ def test_solve_b1(paths, capsys):
     assert "agent a: {1}" in out and "agent c: {1}" in out
 
 
+def test_solve_b1_on_a_ten_thousand_column_table(paths, capsys):
+    """guess23:3:100 gives each agent a 100 x 10,000 payoff table, which
+    no benchmark request reaches; common belief in rationality leaves 1."""
+    assert main(["solve", paths["b1"], "guess23:3:100"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"agent {a}: {{1}}" in out for a in "abc")
+
+
 def test_solve_b2(paths, capsys):
     assert main(["solve", paths["b2"], "guess23:3:10"]) == 0
     out = capsys.readouterr().out

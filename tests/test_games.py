@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,13 @@ from rbr import (
     utility_game,
 )
 from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
-from rbr.games import Quit, ReasoningScene, _payoff_rows, alternating_sequences
+from rbr.games import (
+    Quit,
+    ReasoningScene,
+    _payoff_classes,
+    _payoff_rows,
+    alternating_sequences,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +63,11 @@ def test_scene_owner_checked(guess):
 def test_singleton_space_survives():
     g = make_guess_average_game(3, 1)
     assert rational_response(g, 0, full_scene(g, 0)) == {1}
+
+
+def test_empty_own_space_has_an_empty_response():
+    g = utility_game(["a", "b"], [(), (0, 1)], lambda a, o: 0)
+    assert rational_response(g, 0, full_scene(g, 0)) == frozenset()
 
 
 def test_single_opponent_profile_keeps_the_best_replies(guess):
@@ -118,12 +130,19 @@ def test_replaced_game_gets_a_fresh_payoff_table():
     game = make_guess_average_game(3, 10)
     scene = full_scene(game, 0)
     assert rational_response(game, 0, scene) == set(range(1, 8))
+    assert len(_payoff_classes(game, 0)[1][0]) == 19
     flipped = dataclasses.replace(
         game,
         compare=lambda a, s, s2: game.compare(a, s2, s),
         utility=lambda a, o: -game.utility(a, o),
     )
+    assert flipped._rows == {}
     assert rational_response(flipped, 0, scene) == {1, 2, 3, 10}
+    # A constant utility has one column class; the cached 19 stay with game.
+    flat = dataclasses.replace(game, utility=lambda a, o: 0)
+    assert rational_response(flat, 0, scene) == set(range(1, 11))
+    assert len(_payoff_classes(flat, 0)[1][0]) == 1
+    assert len(_payoff_classes(game, 0)[1][0]) == 19
 
 
 def test_utility_evaluated_once_per_table_cell(b1):
@@ -249,6 +268,56 @@ def test_builtin_rows_scale_the_per_cell_rows(name):
         scale = next((Fraction(x, y) for x, y in pairs if y), Fraction(1))
         assert scale > 0
         assert all(x == scale * y for x, y in pairs)
+
+
+def _class_counts(game):
+    """Per agent, the number of column classes of its payoff table, after
+    checking that each column equals its class's column."""
+    counts = []
+    for a in range(game.num_agents):
+        classes, table = _payoff_classes(game, a)
+        rows = _payoff_rows(game, a)
+        assert len(classes) == len(rows[0])
+        assert list(zip(*rows)) == [tuple(r[c] for r in table) for c in classes]
+        assert sorted(set(classes)) == list(range(len(table[0])))
+        assert len(set(zip(*table))) == len(table[0])
+        counts.append(len(table[0]))
+    return counts
+
+
+@pytest.mark.parametrize("n, top", [(2, 1), (2, 9), (3, 5), (3, 16), (4, 4)])
+def test_guess_average_classes_are_the_opponents_sums(n, top):
+    assert _class_counts(make_guess_average_game(n, top)) == [(n - 1) * (top - 1) + 1] * n
+
+
+@pytest.mark.parametrize(
+    "make, columns, count",
+    [
+        (lambda: make_guess_average_game(3, 100), 10_000, 199),
+        (lambda: make_sequence_game("abc", 5), 1_024, 256),
+    ],
+    ids=["guess23:3:100", "gk:5"],
+)
+def test_large_builtin_tables_merge_their_columns(make, columns, count):
+    classes, table = _payoff_classes(make(), 0)
+    assert (len(classes), len(table[0])) == (columns, count)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 4), (3, 1), (3, 3), (3, 5), (4, 3)])
+def test_sequence_game_classes_count_the_opponents_tails(n, k):
+    """An opponent's column digit matters only when it plays a tail of
+    one of the agent's sequences, a sequence of length at most k - 1;
+    Quit and its length-k sequences share one class."""
+    expected = [
+        math.prod(len(alternating_sequences(n, b, k - 1)) + 1 for b in range(n) if b != a)
+        for a in range(n)
+    ]
+    assert _class_counts(make_sequence_game("abcd"[:n], k)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_binary_game_has_one_class(n):
+    assert _class_counts(make_binary_game("abcd"[:n])) == [1] * n
 
 
 ROWS_AND_PER_CELL = [(g, _per_cell(g)) for g in SMALL_BUILTINS.values()]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -23,15 +25,19 @@ from rbr import (
     iterate,
     make_binary_game,
     make_guess_average_game,
+    make_scene,
     make_sequence_game,
     minimise,
     parse_game,
+    rational_response,
     rational_solution,
     rationalise,
     refine_once,
+    utility_game,
     validate_graph,
 )
 from rbr.errors import NonTermination
+from rbr.graph import successor_keys
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
 import rbr.solve
@@ -284,6 +290,57 @@ def test_drawn_game_solution_matches_oracle(games, data):
 
 
 @st.composite
+def merging_games(draw, agents):
+    """A utility game whose payoff tables have equal columns, so column
+    classes really merge: either every utility comes from a set of two or
+    three values, or each agent's columns are copies of one to three
+    drawn columns."""
+    spaces = [tuple(range(draw(st.integers(1, 4)))) for _ in agents]
+    copies = draw(st.booleans())
+    if copies:
+        cell = st.integers(-2, 2)
+    else:
+        cell = st.sampled_from(
+            draw(st.sampled_from([(0, 1), (-1, 0, 1), (Fraction(1, 2), 2, -3)])))
+    table = {}
+    for a, own in enumerate(spaces):
+        column = st.lists(cell, min_size=len(own), max_size=len(own))
+        if copies:
+            column = st.sampled_from(draw(st.lists(column, min_size=1, max_size=3)))
+        axes = list(spaces)
+        axes[a] = (None,)
+        for profile in itertools.product(*axes):
+            for s, u in zip(own, draw(column)):
+                table[a, profile[:a] + (s,) + profile[a + 1:]] = u
+    return utility_game(agents, spaces, lambda a, o: table[a, o])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_classes_match_the_pairwise_path(data):
+    """Dominance over the scene's column classes answers what pairwise
+    ``dominates`` checks over every opponent profile answer."""
+    agents = ABC[:data.draw(st.integers(1, 3))]
+    game = data.draw(merging_games(agents))
+    pairwise = dataclasses.replace(game, utility=None)
+    for a in range(len(agents)):
+        scene = make_scene(game, a, {
+            b: data.draw(st.sets(st.sampled_from(space), min_size=1))
+            for b, space in enumerate(game.strategies) if b != a
+        })
+        assert rational_response(game, a, scene) == rational_response(pairwise, a, scene)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_column_class_solution_matches_oracle(data):
+    num_agents = data.draw(st.integers(2, 3))
+    g = data.draw(graphs(num_agents=num_agents))
+    game = data.draw(merging_games(ABC[:num_agents]))
+    assert rational_solution(g, game).solution == brute_force_rational_solution(g, game)
+
+
+@st.composite
 def refinement_inputs(draw):
     """A small drawn graph, a blow-up of one, or a chain of 1-300 nodes."""
     kind = draw(st.sampled_from(["graph", "blow-up", "chain"]))
@@ -343,6 +400,25 @@ def test_dirty_set_solve_matches_iterated_rationalise(g, name, data):
     assert rep.entries_changed == tuple(
         sum(map(operator.ne, old, new)) for old, new in zip(trace, trace[1:]))
     assert len(rep.nodes_keyed) == len(trace) - 1
+
+
+@given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_answers_each_scene_key_once(g, name, data):
+    """Round 1 answers one scene per label present, and the rounds
+    together answer every distinct scene key of R^0 .. R^iterations once."""
+    if name == "table":
+        game = data.draw(table_games(g.agents))
+    else:
+        game = SOLVE_GAMES[name](g.agents)
+    rep = rational_solution(g, game, keep_trace=True)
+    spaces = [frozenset(space) for space in game.strategies]
+    keys = set()
+    for s in rep.trace[:-1]:
+        keys.update(successor_keys(g, g.labels, s, spaces))
+    assert len(rep.scenes_answered) == len(rep.nodes_keyed)
+    assert rep.scenes_answered[0] == len(set(g.labels))
+    assert sum(rep.scenes_answered) == len(keys)
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])
