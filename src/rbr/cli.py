@@ -169,10 +169,13 @@ def _print_trace(g: RbrGraph, rounds: tuple, set_text) -> None:
 
     Copies of one belief type have one row, so each distinct (label,
     entries) row is formatted once, and the column widths are read off
-    the distinct rows.
+    the distinct rows.  The rows are zipped twice, once to collect the
+    distinct ones and once to print, so no row per node is kept.
     """
-    rows = list(zip(g.labels, *rounds))
-    cells = {row: [set_text(row[0], e) for e in row[1:]] for row in dict.fromkeys(rows)}
+    cells = {
+        row: [set_text(row[0], e) for e in row[1:]]
+        for row in dict.fromkeys(zip(g.labels, *rounds))
+    }
     widths = [
         max((len(c[i]) for c in cells.values()), default=0)
         for i in range(len(rounds))
@@ -184,7 +187,10 @@ def _print_trace(g: RbrGraph, rounds: tuple, set_text) -> None:
     name_w = max(map(len, g.node_names), default=0)
     header = " ".join(f"{i + 1:>{w}}" for i, w in enumerate(widths))
     lines = [f"{'node':<{name_w}} {header}"]
-    lines += [f"{name:<{name_w}} {text[row]}" for name, row in zip(g.node_names, rows)]
+    lines += [
+        f"{name:<{name_w}} {text[row]}"
+        for name, row in zip(g.node_names, zip(g.labels, *rounds))
+    ]
     print("\n".join(lines))
 
 

@@ -32,7 +32,10 @@ class RawGraph:
     agents: tuple[str, ...]
     node_names: tuple[str, ...]
     labels: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    # Edge i runs from sources[i] to targets[i]: two int columns, not one
+    # tuple per edge.
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
     designation: dict[int, int]
 
     def validate(self) -> RbrGraph:
@@ -40,7 +43,7 @@ class RawGraph:
             self.agents,
             len(self.node_names),
             self.labels,
-            self.edges,
+            zip(self.sources, self.targets),
             self.designation,
             node_names=self.node_names,
         )
@@ -101,7 +104,8 @@ def _parse_layout(text: str) -> RawGraph | None:
         return None
     node_id: dict[str, int] = {}
     labels: list[int] = []
-    edges: list[tuple[int, int]] = []
+    sources: list[int] = []
+    targets: list[int] = []
     designation: dict[int, int] = {}
 
     while start < len(text):
@@ -119,14 +123,14 @@ def _parse_layout(text: str) -> RawGraph | None:
         layout = ["node"] * mid + ["edge"] * (tail - mid)
         if kinds != layout + ["real"] * (len(kinds) - tail):
             return None
-        if mid and (edges or designation) or tail > mid and designation:
+        if mid and (sources or designation) or tail > mid and designation:
             return None
         before = len(designation)
         try:
             node_id.update(zip(firsts[:mid], range(len(labels), len(labels) + mid)))
             labels.extend(map(agent_id.__getitem__, seconds[:mid]))
-            edges.extend(zip(map(node_id.__getitem__, firsts[mid:tail]),
-                             map(node_id.__getitem__, seconds[mid:tail])))
+            sources.extend(map(node_id.__getitem__, firsts[mid:tail]))
+            targets.extend(map(node_id.__getitem__, seconds[mid:tail]))
             designation.update(zip(map(agent_id.__getitem__, firsts[tail:]),
                                    map(node_id.__getitem__, seconds[tail:])))
         except KeyError:
@@ -138,7 +142,8 @@ def _parse_layout(text: str) -> RawGraph | None:
         agents=agents,
         node_names=tuple(node_id),
         labels=tuple(labels),
-        edges=tuple(edges),
+        sources=tuple(sources),
+        targets=tuple(targets),
         designation=designation,
     )
 
@@ -149,7 +154,8 @@ def _parse_lines(text: str) -> RawGraph:
     agent_id: dict[str, int] = {}
     node_id: dict[str, int] = {}
     labels: list[int] = []
-    edges: list[tuple[int, int]] = []
+    sources: list[int] = []
+    targets: list[int] = []
     designation: dict[int, int] = {}
 
     for lineno, tokens in _lines(text):
@@ -183,7 +189,8 @@ def _parse_lines(text: str) -> RawGraph:
             for name in args:
                 if name not in node_id:
                     raise UnknownIdentifier(lineno, f"unknown node {name}")
-            edges.append((node_id[args[0]], node_id[args[1]]))
+            sources.append(node_id[args[0]])
+            targets.append(node_id[args[1]])
         elif kind == "real":
             if len(args) != 2:
                 raise GraphSyntaxError(lineno, "expected: real <agent> <node>")
@@ -204,7 +211,8 @@ def _parse_lines(text: str) -> RawGraph:
         agents=agents,
         node_names=tuple(node_id),  # node_id gave out ids in insertion order
         labels=tuple(labels),
-        edges=tuple(edges),
+        sources=tuple(sources),
+        targets=tuple(targets),
         designation=designation,
     )
 
@@ -319,7 +327,12 @@ def parse_game(text: str) -> Game:
             if val is None:
                 if not _RATIONAL.fullmatch(value):
                     raise GraphSyntaxError(lineno, f"bad rational {value}")
-                val = rationals[value] = Fraction(value)
+                try:
+                    val = rationals[value] = Fraction(value)
+                except ValueError:  # more digits than int() converts
+                    raise GraphSyntaxError(
+                        lineno, f"rational of {len(value)} characters has too many digits"
+                    ) from None
             key = (agent_id[name], profile)
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")

@@ -128,16 +128,20 @@ def validate_graph(
         if not 0 <= a < num_agents:
             raise GraphValidationError(f"node {n} has unknown agent label {a}")
 
-    succ = [[NO_NODE] * num_agents for _ in range(num_nodes)]
+    # One flat row-major table, cut into row tuples once every edge is
+    # in, so that no list per node is built.
+    flat = [NO_NODE] * (num_nodes * num_agents)
     for n, m in edges:
         if not (0 <= n < num_nodes and 0 <= m < num_nodes):
             raise DanglingEdge((n, m))
         if labels[n] == labels[m]:
             raise SelfBelief(n)
         a = labels[m]
-        if succ[n][a] not in (NO_NODE, m):
+        i = n * num_agents + a
+        if flat[i] not in (NO_NODE, m):
             raise DuplicateSuccessor(n, a)
-        succ[n][a] = m
+        flat[i] = m
+    succ = tuple(zip(*[iter(flat)] * num_agents))
 
     designated = [NO_NODE] * num_agents
     for a, n in designation.items():
@@ -168,7 +172,7 @@ def validate_graph(
     return RbrGraph(
         agents=tuple(agents),
         labels=tuple(labels),
-        succ=tuple(tuple(row) for row in succ),
+        succ=succ,
         designated=tuple(designated),
         node_names=names,
     )
@@ -180,7 +184,7 @@ def successor_keys(
     values: Sequence,
     fills: Sequence,
     nodes: Sequence[int] | None = None,
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """Per node ``n``, the key ``(head[n], v_0, ..., v_{k-1})``, where
     ``v_a`` is ``values[g.succ[n][a]]``, or ``fills[a]`` when ``n`` has no
     a-successor.  ``fills`` must be hashable.  With ``nodes``, only those
@@ -192,6 +196,9 @@ def successor_keys(
     ``fills[a]`` appended, which ``NO_NODE`` (-1) reads.  Agents with equal
     fills share one appended copy of ``values``; a copy per agent made a
     10-agent refinement pass measurably slower.
+
+    The keys come lazily, one at a time, so a caller that drops each key
+    once it has looked it up keeps no tuple per node alive.
     """
     rows = g.succ
     if nodes is not None:
@@ -202,7 +209,7 @@ def successor_keys(
         map(padded[fill].__getitem__, column)
         for fill, column in zip(fills, zip(*rows))
     )
-    return list(zip(head, *columns))
+    return zip(head, *columns)
 
 
 def adjacency(g: RbrGraph, n: int) -> frozenset[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     AgentUniverseMismatch,
@@ -43,7 +43,7 @@ class Partition:
         return self.block_of[n] == self.block_of[m]
 
 
-def _normalise(raw: Sequence) -> Partition:
+def _normalise(raw: Iterable) -> Partition:
     """Renumber arbitrary block keys densely by first occurrence."""
     seen: dict = {}
     block_of = tuple([seen.setdefault(key, len(seen)) for key in raw])

@@ -61,37 +61,66 @@ def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene
     return ReasoningScene(owner=owner, opponents=tuple(opponents))
 
 
-def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
-    """One rationalisation round: per-node rational response in its scene.
+class _ResponseMemo(dict):
+    """Rational responses of one game by scene key.
 
     A node's scene is fixed by its key: its label, then per agent the
     entry of its successor, or that agent's full space where there is
-    none.  Each key is answered once, on the scene of one node that has
-    it; ``_memo`` carries the answers over to later rounds.
+    none.  A key not yet in the memo is answered on the scene it fixes
+    and kept, so each key is answered once however often it is met.
+    """
+
+    def __init__(self, game: Game):
+        super().__init__()
+        self.game = game
+
+    def __missing__(self, key: tuple) -> frozenset:
+        scene = _key_scene(key)
+        self[key] = answer = rational_response(self.game, scene.owner, scene)
+        return answer
+
+
+def _key_scene(key: tuple) -> ReasoningScene:
+    """The scene a scene key fixes: the :func:`belief_scene` of every
+    node with that key.  The owner's own slot holds its full space in
+    the key (no node has a successor of its own label) and is empty in
+    the scene."""
+    owner, *opponents = key
+    opponents[owner] = frozenset()
+    return ReasoningScene(owner=owner, opponents=tuple(opponents))
+
+
+def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
+    """One rationalisation round: per-node rational response in its scene.
+
+    Each scene key is answered once; ``_memo``, a memo of the same game,
+    carries the answers over to later rounds.
     """
     if len(s) != g.num_nodes:
         raise InvalidSolution("solution does not cover the node set")
-    return tuple(_responses(g, game, s, {} if _memo is None else _memo))
+    return tuple(_responses(g, game, s, _ResponseMemo(game) if _memo is None else _memo))
 
 
 def _responses(
-    g: RbrGraph, game: Game, s: Solution, memo: dict, nodes: list[int] | None = None
+    g: RbrGraph,
+    game: Game,
+    s: Solution,
+    memo: _ResponseMemo,
+    nodes: list[int] | None = None,
 ):
     """The entries of the rationalisation of ``s`` at ``nodes`` (every
-    node when None), in that order, answering keys not in ``memo``."""
+    node when None), in that order, answering keys not in ``memo``.
+
+    The keys stream through the memo one at a time: a key met before is
+    dropped at once, so no tuple per node stays alive."""
     spaces = [frozenset(space) for space in game.strategies]
-    keys = successor_keys(g, g.labels, s, spaces, nodes)
-    for key, n in dict(zip(keys, g.nodes() if nodes is None else nodes)).items():
-        if key not in memo:
-            scene = belief_scene(g, game, s, n)
-            memo[key] = rational_response(game, scene.owner, scene)
-    return map(memo.__getitem__, keys)
+    return map(memo.__getitem__, successor_keys(g, g.labels, s, spaces, nodes))
 
 
 def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
     """The i-th rationalisation of ``s`` (identity for i = 0)."""
     check_solution(g, game, s)
-    memo: dict = {}
+    memo = _ResponseMemo(game)
     for _ in range(i):
         s = rationalise(g, game, s, memo)
     return s
@@ -147,7 +176,7 @@ def rational_solution(
     bound = safety_bound(g, game) if max_iterations is None else max_iterations
     current = full_solution(g, game)
     trace = [current] if keep_trace else None
-    memo: dict = {}
+    memo = _ResponseMemo(game)
     keyed: list[int] = []
     changes: list[int] = []
     answered: list[int] = []
@@ -181,7 +210,7 @@ def rational_solution(
     raise NonTermination(f"no fixpoint within {bound} rationalisation rounds")
 
 
-def _first_round(g: RbrGraph, game: Game, s: Solution, memo: dict) -> tuple:
+def _first_round(g: RbrGraph, game: Game, s: Solution, memo: _ResponseMemo) -> tuple:
     """R^1 from the full solution ``s``, keying the first node of each
     label, and the number of nodes keyed."""
     present = sorted(set(g.labels))
@@ -191,7 +220,7 @@ def _first_round(g: RbrGraph, game: Game, s: Solution, memo: dict) -> tuple:
 
 
 def _dirty_round(
-    g: RbrGraph, game: Game, s: Solution, memo: dict, dirty: list[int]
+    g: RbrGraph, game: Game, s: Solution, memo: _ResponseMemo, dirty: list[int]
 ) -> tuple:
     """The rationalisation of ``s``, keying only the ``dirty`` nodes, and
     the nodes whose entry it changes."""

@@ -145,6 +145,17 @@ strategies c: 0 1
     assert "agent b: {1}" in capsys.readouterr().out
 
 
+def test_solve_reports_a_utility_with_too_many_digits(paths, tmp_path, capsys):
+    doc = "game normal-form\nagents a b c\n"
+    doc += "".join(f"strategies {agent}: 0\n" for agent in "abc")
+    doc += "utility a 0 0 0 " + "9" * 5000 + "\nutility b 0 0 0 1\nutility c 0 0 0 1\n"
+    p = tmp_path / "big.game"
+    p.write_text(doc)
+    assert main(["solve", paths["b1"], str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 6: rational of 5000 characters has too many digits\n"
+
+
 def test_export_dot(paths, capsys):
     assert main(["export-dot", paths["b4"]]) == 0
     assert capsys.readouterr().out.count("style=dashed") == 2

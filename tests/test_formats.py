@@ -370,6 +370,18 @@ def test_parse_game_rejects_utilities_outside_the_grammar(value):
         parse_game(GAME_HEAD + f"utility a x x {value}\n")
 
 
+@pytest.mark.parametrize("value", ["9" * 5000, "1/" + "7" * 5000, "-0." + "5" * 5000],
+                         ids=["numerator", "denominator", "decimal"])
+def test_parse_game_reports_a_utility_with_too_many_digits(value):
+    """A utility past int()'s digit limit is a syntax error on its line,
+    which gives the token's length rather than the token."""
+    with pytest.raises(
+        GraphSyntaxError,
+        match=f"^line 5: rational of {len(value)} characters has too many digits$",
+    ):
+        parse_game(GAME_HEAD + f"utility a x x {value}\n")
+
+
 def test_parse_game_reads_each_utility_text_alike():
     """A repeated utility text reads the value of its first line, and a
     bad one fails on its first line."""

@@ -82,13 +82,13 @@ def test_successor_keys_keep_the_head_and_fill_missing_successors():
     # succ: 0 -> (-, 1, -), 1 -> (0, -, -), 2 -> (0, 1, -)
     g = validate_graph(ABC, 3, [0, 1, 2], [(0, 1), (1, 0), (2, 0), (2, 1)],
                        {0: 0, 2: 2})
-    assert successor_keys(g, "xyz", "PQR", "uvw") == [
+    assert list(successor_keys(g, "xyz", "PQR", "uvw")) == [
         ("x", "u", "Q", "w"),
         ("y", "P", "v", "w"),
         ("z", "P", "Q", "w"),
     ]
     empty = validate_graph(ABC, 0, [], [], {})
-    assert successor_keys(empty, (), (), "uvw") == []
+    assert list(successor_keys(empty, (), (), "uvw")) == []
 
 
 def test_adjacency(b1, b3):

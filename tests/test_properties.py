@@ -229,7 +229,7 @@ def test_one_response_per_distinct_scene(case, corpus3, monkeypatch):
         distinct.update(belief_scene(g, game, s, n) for n in g.nodes())
 
     scenes, responses, passes = [], [], []
-    for module, name, calls in [(rbr.solve, "belief_scene", scenes),
+    for module, name, calls in [(rbr.solve, "_key_scene", scenes),
                                 (rbr.solve, "rational_response", responses),
                                 (rbr.partition, "refine_once", passes)]:
         original = getattr(module, name)
@@ -377,6 +377,28 @@ SOLVE_GAMES = {
     "gk:3": lambda agents: make_sequence_game(agents, 3),
     "guess23:6": lambda agents: make_guess_average_game(len(agents), 6, agents=agents),
 }
+
+
+@given(graphs(max_nodes=12), st.sampled_from([*sorted(SOLVE_GAMES), "table"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_response_memo_answers_each_key_on_its_belief_scene(g, name, data):
+    """The solver's memo builds the scene of a key itself; for every node
+    of a drawn solution, the scene of the node's key is its belief scene,
+    and the memo's answer the rational response there."""
+    if name == "table":
+        game = data.draw(table_games(g.agents))
+    else:
+        game = SOLVE_GAMES[name](g.agents)
+    s = tuple(
+        frozenset(data.draw(st.sets(st.sampled_from(game.strategies[a]), min_size=1)))
+        for a in g.labels
+    )
+    spaces = [frozenset(space) for space in game.strategies]
+    memo = rbr.solve._ResponseMemo(game)
+    for n, key in zip(g.nodes(), successor_keys(g, g.labels, s, spaces)):
+        scene = belief_scene(g, game, s, n)
+        assert rbr.solve._key_scene(key) == scene
+        assert memo[key] == rational_response(game, g.labels[n], scene)
 
 
 @given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]), st.data())
