@@ -10,6 +10,7 @@ separately by validation.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,8 +271,95 @@ def parse_game(text: str) -> Game:
 
     Requires a ``game normal-form`` header, an ``agents`` line, one
     ``strategies <agent>: <token>+`` line per agent, and a complete
-    ``utility <agent> <token-per-agent> <rational>`` table.
+    ``utility <agent> <token-per-agent> <rational>`` table.  A document in
+    the layout :func:`_parse_game_layout` describes is read in bulk; any
+    other document, and every error, goes through the line parser.
     """
+    game = _parse_game_layout(text)
+    return game if game is not None else _parse_game_lines(text)
+
+
+def _parse_game_layout(text: str) -> Game | None:
+    """The document's game if it is in the plain table layout, else None.
+
+    The layout is the header, the ``agents`` line and one ``strategies``
+    line per agent in agent order, then only ``utility`` lines in any
+    order, with one space between tokens, ``"\n"`` after every line and
+    no ``#``.  The utility lines are split once into strided columns and
+    count only if those columns, joined back with spaces and line ends,
+    give them exactly.  Each distinct utility text is checked and
+    converted once.  A bad value, a token outside its agent's space, a
+    repeated entry, or fewer entries than agents times profiles returns
+    None too, so the line parser reports the error with its message and
+    line.  A repeated agent name or strategy token needs no check of its
+    own: it leaves fewer distinct entries than that count.
+    """
+    if "#" in text:
+        return None
+    head = text.split("\n", 2)
+    if len(head) < 3 or head[0] != "game normal-form":
+        return None
+    names = head[1].split()
+    agents = tuple(names[1:])
+    if names[:1] != ["agents"] or not agents or " ".join(names) != head[1]:
+        return None
+    k = len(agents)
+    lines = head[2].split("\n", k)
+    if len(lines) <= k:
+        return None
+    spaces = []
+    for name, line in zip(agents, lines):
+        words = line.split()
+        if words[:2] != ["strategies", name + ":"] or len(words) < 3:
+            return None
+        if " ".join(words) != line:
+            return None
+        spaces.append(tuple(words[2:]))
+
+    body = lines[k]
+    words = body.split()
+    width = k + 3
+    columns = [words[i::width] for i in range(width)]
+    if "\n".join(map(" ".join, zip(*columns))) + "\n" != body:
+        return None
+    kinds, owners, profiles, values = columns[0], columns[1], columns[2:-1], columns[-1]
+    if kinds.count("utility") != len(kinds):
+        return None
+    if len(kinds) != k * math.prod(map(len, spaces)):
+        return None
+    if not all(set(column) <= set(space) for column, space in zip(profiles, spaces)):
+        return None
+    rationals = {}
+    for value in set(values):
+        if not _RATIONAL.fullmatch(value):
+            return None
+        try:
+            rationals[value] = Fraction(value)
+        except ValueError:  # more digits than int() converts
+            return None
+    agent_id = {name: a for a, name in enumerate(agents)}
+    try:
+        keys = list(zip(map(agent_id.__getitem__, owners), zip(*profiles)))
+    except KeyError:
+        return None
+    table = dict(zip(keys, map(rationals.__getitem__, values)))
+    if len(table) != len(keys):
+        return None
+    return _table_game(agents, spaces, table)
+
+
+def _table_game(agents, spaces, table: dict) -> Game:
+    """The utility game whose ``table`` maps (agent id, token profile) to
+    the agent's utility."""
+
+    def utility(a: int, outcome) -> Fraction:
+        return table[(a, tuple(outcome))]
+
+    return utility_game(agents, spaces, utility)
+
+
+def _parse_game_lines(text: str) -> Game:
+    """:func:`parse_game` for any document, one line at a time."""
     lines = list(_lines(text))
     if not lines or lines[0][1] != ["game", "normal-form"]:
         lineno = lines[0][0] if lines else 1
@@ -358,7 +446,4 @@ def parse_game(text: str) -> Game:
             if tok not in spaces[b]:
                 raise UnknownIdentifier(lineno, f"unknown strategy token {tok}")
 
-    def utility(a: int, outcome) -> Fraction:
-        return table[(a, tuple(outcome))]
-
-    return utility_game(agents, [spaces[a] for a in range(len(agents))], utility)
+    return _table_game(agents, [spaces[a] for a in range(len(agents))], table)

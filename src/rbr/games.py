@@ -52,9 +52,8 @@ class Game:
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
     # Per-agent class table, filled on first use by _payoff_classes: the
-    # class of each payoff-table column and the int rows over one column
-    # per class.  Excluded from init, so dataclasses.replace starts an
-    # empty cache.
+    # class of each payoff-table column and each class's int column.
+    # Excluded from init, so dataclasses.replace starts an empty cache.
     _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -201,14 +200,14 @@ def _payoff_rows(game: Game, a: int) -> list[list[int]]:
 def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """Agent ``a``'s payoff table quotiented by equal columns, cached on
     ``game._rows``: the class of each column of :func:`_payoff_rows`
-    (numbered by first appearance), and the rows over one column per
-    class.  Opponent profiles with equal columns pay every strategy of
-    ``a`` alike, so no dominance test can tell them apart."""
+    (numbered by first appearance), and each class's column, one payoff
+    per own strategy.  Opponent profiles with equal columns pay every
+    strategy of ``a`` alike, so no dominance test can tell them apart."""
     table = game._rows.get(a)
     if table is None:
         index: dict = {}
         classes = [index.setdefault(c, len(index)) for c in zip(*_payoff_rows(game, a))]
-        table = game._rows[a] = (classes, list(zip(*index)))
+        table = game._rows[a] = (classes, list(index))
     return table
 
 
@@ -255,19 +254,24 @@ def rational_response(
     columns = _scene_columns(game, scene)
     if not space:
         return frozenset()
-    classes, table = _payoff_classes(game, a)
+    classes, class_columns = _payoff_classes(game, a)
     hit = set(map(classes.__getitem__, columns))
-    vectors = [list(map(row.__getitem__, hit)) for row in table]
+    vectors = list(zip(*map(class_columns.__getitem__, hit)))
+    sums = list(map(sum, vectors))
     # A strict dominator has a larger sum over classes, and a dominated
     # strategy always has an undominated dominator, so checking each vector
     # against the undominated ones already kept, in order of decreasing
-    # sum, is exact.
-    kept: list[int] = []
-    for i in sorted(range(len(space)), key=lambda i: sum(vectors[i]), reverse=True):
+    # sum, is exact.  The check nests map calls, so no Python frame runs
+    # per comparison.
+    kept: list[tuple[int, ...]] = []
+    survivors = []
+    for i in sorted(range(len(space)), key=sums.__getitem__, reverse=True):
         v = vectors[i]
-        if not any(all(map(operator.gt, vectors[k], v)) for k in kept):
-            kept.append(i)
-    return frozenset(space[i] for i in kept)
+        if not any(map(all, map(map, itertools.repeat(operator.gt), kept,
+                                  itertools.repeat(v)))):
+            kept.append(v)
+            survivors.append(space[i])
+    return frozenset(survivors)
 
 
 def _agent_names(count: int) -> tuple[str, ...]:

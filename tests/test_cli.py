@@ -1,4 +1,5 @@
 import codecs
+import itertools
 import os
 import random
 import subprocess
@@ -143,6 +144,30 @@ strategies c: 0 1
     p.write_text(doc + "\n".join(lines) + "\n")
     assert main(["solve", paths["b1"], str(p)]) == 0
     assert "agent b: {1}" in capsys.readouterr().out
+
+
+def test_solve_reads_a_table_file_as_its_commented_copy(paths, tmp_path, capsys):
+    """The table layout is read in bulk and a commented copy line by line;
+    both give the same solve."""
+    game = make_guess_average_game(3, 6)
+    lines = [f"utility {game.agents[a]} {' '.join(map(str, o))} {game.utility(a, o)}"
+             for a in range(3) for o in itertools.product(*game.strategies)]
+    random.Random(0).shuffle(lines)
+    head = ["game normal-form", "agents a b c"]
+    head += [f"strategies {name}: 1 2 3 4 5 6" for name in "abc"]
+    layout = "\n".join(head + lines) + "\n"
+    commented = "# guess 2/3 of the others' average\n" + layout.replace(
+        "\nagents a b c\n", "\nagents a b c  # three players\n")
+    outputs = []
+    for name, text in [("layout", layout), ("commented", commented)]:
+        p = tmp_path / f"{name}.game"
+        p.write_text(text)
+        assert main(["solve", paths["b1"], str(p), "--trace"]) == 0
+        outputs.append(capsys.readouterr())
+    assert formats._parse_game_layout(layout) is not None
+    assert formats._parse_game_layout(commented) is None
+    assert outputs[0] == outputs[1]
+    assert "agent a: {1}" in outputs[0].out
 
 
 def test_solve_reports_a_utility_with_too_many_digits(paths, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 from unittest import mock
@@ -401,3 +402,111 @@ def test_parse_game_reads_signed_fractions_and_decimals():
     game = parse_game(text)
     assert [game.utility(0, o) for o in (("x", "x"), ("y", "x"))] == [
         Fraction(-1, 10), Fraction(3, 2)]
+
+
+@st.composite
+def layout_game_documents(draw):
+    """A game document in the plain table layout: one to three agents with
+    one to four strategy tokens each, int, fraction and decimal
+    utilities, and the utility lines in a drawn order."""
+    agents = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    spaces = [[f"s{i}" for i in range(draw(st.integers(1, 4)))] for _ in agents]
+    value = st.one_of(
+        st.integers(-9, 9).map(str),
+        st.tuples(st.integers(-9, 9), st.integers(1, 12)).map("{0[0]}/{0[1]}".format),
+        st.tuples(st.integers(-9, 9), st.integers(0, 99)).map("{0[0]}.{0[1]}".format),
+    )
+    head = ["game normal-form", "agents " + " ".join(agents)]
+    head += [f"strategies {name}: {' '.join(sp)}" for name, sp in zip(agents, spaces)]
+    table = [f"utility {name} {' '.join(profile)} {draw(value)}"
+             for name in agents for profile in itertools.product(*spaces)]
+    return "\n".join(head + draw(st.permutations(table))) + "\n"
+
+
+def _game_outcome(parse, text):
+    """What ``parse`` makes of a game document: the agents, spaces and
+    every utility, or its error's class, message and line."""
+    try:
+        game = parse(text)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line
+    profiles = list(itertools.product(*game.strategies))
+    return game.agents, game.strategies, [
+        game.utility(a, o) for a in range(game.num_agents) for o in profiles]
+
+
+@given(layout_game_documents())
+@settings(max_examples=100, deadline=None)
+def test_game_layout_reader_matches_the_line_parser(text):
+    assert formats._parse_game_layout(text) is not None
+    assert _game_outcome(formats._parse_game_layout, text) == _game_outcome(
+        formats._parse_game_lines, text)
+
+
+GAME_MUTATIONS = ["drop line", "double line", "move line", "copy over line",
+                  "unknown token", "unknown agent", "bad rational", "long rational",
+                  "repeated agent", "repeated token", "token with #", "doubled space",
+                  "tab", "crlf", "comment", "no final newline"]
+
+
+def _mutated_game(text: str, mutation: str, pick: int, to: int) -> str:
+    """``text`` with ``mutation`` at line ``pick`` (modulo the lines it
+    applies to); a moved line goes to position ``to``, and utility line
+    ``to`` is copied over utility line ``pick``."""
+    if mutation == "no final newline":
+        return text[:-1]
+    if mutation == "token with #":
+        return re.sub(r"\bs0\b", "s0#", text)
+    names = text.split("\n")[1].split(" ")[1:]
+    if mutation == "repeated agent" and len(names) > 1:
+        # The last agent takes the first one's name on every line.
+        return re.sub(rf"\b{names[-1]}\b", names[0], text)
+    lines = text.split("\n")[:-1]
+    utility = [i for i, line in enumerate(lines) if line.startswith("utility ")]
+    i = pick % len(lines)
+    if mutation in ("repeated agent", "repeated token"):
+        # A lone agent name or strategy token gets a copy after it;
+        # otherwise the line's last token becomes a copy of its first.
+        first = 1 if mutation == "repeated agent" else 2
+        i = 1 if mutation == "repeated agent" else 2 + pick % (utility[0] - 2)
+        tokens = lines[i].split(" ")
+        tokens[max(first + 1, len(tokens) - 1):] = [tokens[first]]
+        lines[i] = " ".join(tokens)
+    elif mutation in ("unknown token", "unknown agent", "bad rational", "long rational"):
+        i = utility[pick % len(utility)]
+        tokens = lines[i].split(" ")
+        where = {"unknown token": -2, "unknown agent": 1}.get(mutation, -1)
+        tokens[where] = {"bad rational": "1e5", "long rational": "9" * 5000}.get(
+            mutation, "zz")
+        lines[i] = " ".join(tokens)
+    elif mutation == "drop line":
+        del lines[i]
+    elif mutation == "double line":
+        lines.insert(i, lines[i])
+    elif mutation == "move line":
+        lines.insert(to % len(lines), lines.pop(i))
+    elif mutation == "copy over line":
+        # One entry repeated and one missing: the count still matches.
+        lines[utility[pick % len(utility)]] = lines[utility[to % len(utility)]]
+    elif mutation == "comment":
+        lines[i] += " # note"
+    elif mutation == "crlf":
+        lines[i] += "\r"
+    else:
+        lines[i] = lines[i].replace(" ", "  " if mutation == "doubled space" else "\t", 1)
+    return "\n".join(lines) + "\n"
+
+
+@given(layout_game_documents(), st.sampled_from(GAME_MUTATIONS), st.integers(0, 60),
+       st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_mutated_game_documents_read_as_the_line_parser_does(text, mutation, pick, to):
+    """With the bulk path on or off, a document gives an equal game or the
+    same error, message and line; the bulk path never accepts a document
+    the line parser rejects, nor one with a comment or other whitespace."""
+    text = _mutated_game(text, mutation, pick, to)
+    expected = _game_outcome(formats._parse_game_lines, text)
+    assert _game_outcome(parse_game, text) == expected
+    if isinstance(expected[0], type) or mutation in (
+            "doubled space", "tab", "crlf", "comment", "no final newline"):
+        assert formats._parse_game_layout(text) is None

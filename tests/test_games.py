@@ -130,7 +130,7 @@ def test_replaced_game_gets_a_fresh_payoff_table():
     game = make_guess_average_game(3, 10)
     scene = full_scene(game, 0)
     assert rational_response(game, 0, scene) == set(range(1, 8))
-    assert len(_payoff_classes(game, 0)[1][0]) == 19
+    assert len(_payoff_classes(game, 0)[1]) == 19
     flipped = dataclasses.replace(
         game,
         compare=lambda a, s, s2: game.compare(a, s2, s),
@@ -141,8 +141,8 @@ def test_replaced_game_gets_a_fresh_payoff_table():
     # A constant utility has one column class; the cached 19 stay with game.
     flat = dataclasses.replace(game, utility=lambda a, o: 0)
     assert rational_response(flat, 0, scene) == set(range(1, 11))
-    assert len(_payoff_classes(flat, 0)[1][0]) == 1
-    assert len(_payoff_classes(game, 0)[1][0]) == 19
+    assert len(_payoff_classes(flat, 0)[1]) == 1
+    assert len(_payoff_classes(game, 0)[1]) == 19
 
 
 def test_utility_evaluated_once_per_table_cell(b1):
@@ -275,13 +275,13 @@ def _class_counts(game):
     checking that each column equals its class's column."""
     counts = []
     for a in range(game.num_agents):
-        classes, table = _payoff_classes(game, a)
+        classes, columns = _payoff_classes(game, a)
         rows = _payoff_rows(game, a)
         assert len(classes) == len(rows[0])
-        assert list(zip(*rows)) == [tuple(r[c] for r in table) for c in classes]
-        assert sorted(set(classes)) == list(range(len(table[0])))
-        assert len(set(zip(*table))) == len(table[0])
-        counts.append(len(table[0]))
+        assert list(zip(*rows)) == [columns[c] for c in classes]
+        assert sorted(set(classes)) == list(range(len(columns)))
+        assert len(set(columns)) == len(columns)
+        counts.append(len(columns))
     return counts
 
 
@@ -299,8 +299,8 @@ def test_guess_average_classes_are_the_opponents_sums(n, top):
     ids=["guess23:3:100", "gk:5"],
 )
 def test_large_builtin_tables_merge_their_columns(make, columns, count):
-    classes, table = _payoff_classes(make(), 0)
-    assert (len(classes), len(table[0])) == (columns, count)
+    classes, class_columns = _payoff_classes(make(), 0)
+    assert (len(classes), len(class_columns)) == (columns, count)
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (2, 4), (3, 1), (3, 3), (3, 5), (4, 3)])

@@ -37,6 +37,7 @@ from rbr import (
     validate_graph,
 )
 from rbr.errors import NonTermination
+from rbr.games import _payoff_classes, _scene_columns
 from rbr.graph import successor_keys
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
@@ -329,6 +330,55 @@ def test_column_classes_match_the_pairwise_path(data):
             for b, space in enumerate(game.strategies) if b != a
         })
         assert rational_response(game, a, scene) == rational_response(pairwise, a, scene)
+
+
+# Builtin games with tables of hundreds to thousands of columns, whose
+# columns merge into a few dozen classes.
+BIG_TABLE_GAMES = {
+    "gk:3": make_sequence_game(ABC, 3),
+    "gk:4": make_sequence_game(ABC, 4),
+    "guess23:3:5": make_guess_average_game(3, 5),
+    "guess23:3:9": make_guess_average_game(3, 9),
+}
+
+
+def _classes_hit(game, scene):
+    classes, _ = _payoff_classes(game, scene.owner)
+    return set(map(classes.__getitem__, _scene_columns(game, scene)))
+
+
+@pytest.mark.parametrize("name", BIG_TABLE_GAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_big_builtin_classes_match_the_pairwise_path(name, data):
+    """Drawn sub-scenes of a big builtin table, scenes within one column
+    class and the full scene, which hits every class, answer as pairwise
+    ``dominates`` checks do."""
+    game = BIG_TABLE_GAMES[name]
+    a = data.draw(st.integers(0, 2))
+    hits = data.draw(st.sampled_from(["drawn", "one class", "every class"]))
+    profile = [data.draw(st.sampled_from(space)) for space in game.strategies]
+
+    def class_of(b, t):
+        singletons = {c: {t if c == b else x} for c, x in enumerate(profile) if c != a}
+        return _classes_hit(game, make_scene(game, a, singletons))
+
+    opponents = {}
+    for b, space in enumerate(game.strategies):
+        if b == a:
+            continue
+        if hits == "one class":
+            space = [t for t in space if class_of(b, t) == class_of(b, profile[b])]
+        if hits == "every class":
+            opponents[b] = space
+        else:
+            opponents[b] = data.draw(st.sets(st.sampled_from(space), min_size=1))
+    scene = make_scene(game, a, opponents)
+    if hits != "drawn":
+        count = 1 if hits == "one class" else len(_payoff_classes(game, a)[1])
+        assert len(_classes_hit(game, scene)) == count
+    pairwise = dataclasses.replace(game, utility=None)
+    assert rational_response(game, a, scene) == rational_response(pairwise, a, scene)
 
 
 @given(data=st.data())
