@@ -96,9 +96,20 @@ def _resolve_game(spec: str, g: RbrGraph) -> Game:
     return game
 
 
-def _set_text(game: Game, a: int, entry: frozenset) -> str:
-    ordered = sorted(entry, key=game.strategies[a].index)
-    return "{" + ",".join(strategy_label(game, s) for s in ordered) + "}"
+def _set_texts(game: Game):
+    """A formatter of (agent, entry) pairs, each formatted once: the
+    entry's strategy labels in the order of the agent's space, read off
+    one position dict per agent."""
+    positions = [
+        {s: i for i, s in enumerate(dict.fromkeys(space))} for space in game.strategies
+    ]
+
+    @functools.cache
+    def set_text(a: int, entry: frozenset) -> str:
+        ordered = sorted(entry, key=positions[a].__getitem__)
+        return "{" + ",".join(strategy_label(game, s) for s in ordered) + "}"
+
+    return set_text
 
 
 def cmd_validate(args) -> int:
@@ -156,7 +167,7 @@ def cmd_solve(args) -> int:
         g, game, keep_trace=args.trace, max_iterations=args.max_iterations
     )
     # Nodes share entries, so each distinct (agent, entry) is formatted once.
-    set_text = functools.cache(functools.partial(_set_text, game))
+    set_text = _set_texts(game)
     if args.trace:
         _print_trace(g, report.trace[1:], set_text)
     for a, entry in enumerate(_designated_entries(g, game, report.solution)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -96,6 +97,19 @@ class RbrGraph:
             out[m].append(n)
         return tuple(map(tuple, out))
 
+    @cached_property
+    def gathers(self) -> tuple[itemgetter, ...]:
+        """Per agent ``a``, a getter that reads, from a sequence indexed
+        by node, the value at every node's a-successor, in node order.
+
+        Each getter ends with a ``NO_NODE`` index, so it has at least two
+        indices and returns a tuple even on a one-node graph; the extra
+        last element reads the sequence's last item.  Built on first use
+        and kept with the graph, so every full keying pass shares them.
+        A graph without nodes has none.
+        """
+        return tuple(itemgetter(*column, NO_NODE) for column in zip(*self.succ))
+
 
 def validate_graph(
     agents: Sequence[str],
@@ -134,11 +148,12 @@ def validate_graph(
     for n, m in edges:
         if not (0 <= n < num_nodes and 0 <= m < num_nodes):
             raise DanglingEdge((n, m))
-        if labels[n] == labels[m]:
-            raise SelfBelief(n)
         a = labels[m]
+        if labels[n] == a:
+            raise SelfBelief(n)
         i = n * num_agents + a
-        if flat[i] not in (NO_NODE, m):
+        old = flat[i]
+        if old != NO_NODE and old != m:
             raise DuplicateSuccessor(n, a)
         flat[i] = m
     succ = tuple(zip(*[iter(flat)] * num_agents))
@@ -191,24 +206,31 @@ def successor_keys(
     nodes are keyed, in that order.
 
     Refinement keys nodes by block and solving by scene entry, both with
-    this one builder.  It reads ``g.succ`` one agent column at a time, so
-    the per-node work runs in C: each column indexes ``values`` with
-    ``fills[a]`` appended, which ``NO_NODE`` (-1) reads.  Agents with equal
+    this one builder.  Each agent column of ``g.succ`` is read by one
+    ``itemgetter`` call, so the per-node work runs in C: the column
+    getter indexes ``values`` with ``fills[a]`` appended, which
+    ``NO_NODE`` (-1) reads.  A full pass uses the graph's cached
+    :attr:`RbrGraph.gathers`; a ``nodes`` subset picks its rows with one
+    getter and builds one getter per column of them.  Agents with equal
     fills share one appended copy of ``values``; a copy per agent made a
     10-agent refinement pass measurably slower.
 
-    The keys come lazily, one at a time, so a caller that drops each key
-    once it has looked it up keeps no tuple per node alive.
+    The columns are read up front, but the keys come lazily, one at a
+    time, so a caller that drops each key once it has looked it up keeps
+    no tuple per node alive.
     """
-    rows = g.succ
-    if nodes is not None:
-        rows = list(map(rows.__getitem__, nodes))
-        head = map(head.__getitem__, nodes)
+    if nodes is None:
+        gathers = g.gathers
+    elif not nodes:
+        return iter(())
+    else:
+        # The trailing NO_NODE index makes every getter return a tuple;
+        # the head is cut to the subset, so zip drops the extra key.
+        pick = itemgetter(*nodes, NO_NODE)
+        head = pick(head)[:-1]
+        gathers = [itemgetter(*column) for column in zip(*pick(g.succ))]
     padded = {fill: (*values, fill) for fill in set(fills)}
-    columns = (
-        map(padded[fill].__getitem__, column)
-        for fill, column in zip(fills, zip(*rows))
-    )
+    columns = [gather(padded[fill]) for gather, fill in zip(gathers, fills)]
     return zip(head, *columns)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -72,6 +73,11 @@ def refine_once(g: RbrGraph, p: Partition) -> Partition:
     a block in ``p`` and their successors per agent share blocks too.
     """
     _check_label_respecting(g, p)
+    return _refined(g, p)
+
+
+def _refined(g: RbrGraph, p: Partition) -> Partition:
+    """:func:`refine_once` without its label check: one gathered pass."""
     fills = (p.block_count,) * g.num_agents
     return _normalise(successor_keys(g, p.block_of, p.block_of, fills))
 
@@ -90,12 +96,14 @@ def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
     :func:`refine_once` until nothing splits.
 
     Round 1 is one :func:`refine_once` pass from the label partition.
-    Every later round is a worklist round (:func:`_split_round`) and runs
-    no label check: a partition refined from the label partition cannot
-    mix labels.  Round 2 keys every node, because round 1 does not record
-    which nodes moved; each later round keys only the nodes whose key can
-    have changed, the predecessors of the nodes that changed block in the
-    round before.
+    Round 2 keys every node in one gathered pass too (:func:`_refined`),
+    without the label check: a partition refined from the label
+    partition cannot mix labels.  If it splits nothing, as for a graph that one round makes
+    stable, the refinement ends there.  Otherwise every later round is
+    a worklist round (:func:`_split_round`) that keys only the nodes
+    whose key can have changed, the predecessors of the nodes that
+    changed block in the round before.  Round 2's moves are those of a
+    worklist round that keyed every node (:func:`_worklist_start`).
     """
     n = g.num_nodes
     p = initial_partition(g)
@@ -104,17 +112,49 @@ def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
     if q.block_count == p.block_count:
         return p, counts, keyed
     counts.append(q.block_count)
-    members = list(map(set, q.blocks()))
-    sizes = list(map(len, members))
-    block = [*q.block_of, NO_NODE]
-    dirty = range(n)
+    r = _refined(g, q)
+    keyed += n
+    if r.block_count == q.block_count:
+        return q, counts, keyed
+    counts.append(r.block_count)
+    block, sizes, members, moved = _worklist_start(q, r)
     while True:
+        dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
         keyed += len(dirty)
         moved = _split_round(g.succ, block, sizes, members, dirty)
         if not moved:
             return _normalise(block[:n]), counts, keyed
         counts.append(len(sizes))
-        dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
+
+
+def _worklist_start(q: Partition, r: Partition) -> tuple:
+    """The worklist state after the round that refined ``q`` to ``r``
+    by keying every node: the ``block``, ``sizes`` and ``members`` of
+    :func:`_split_round`, and the nodes that changed block id.
+
+    As in a :func:`_split_round` that keyed every node, block b of ``q``
+    keeps its id for the largest of its parts in ``r``, the last of
+    them on a tie in order of first member, and the other parts take
+    fresh ids and move: blocks in id order, parts by size, ties in
+    order of first member.
+    """
+    parts = r.blocks()
+    children: list[list[int]] = [[] for _ in range(q.block_count)]
+    for j, part in enumerate(parts):
+        children[q.block_of[part[0]]].append(j)
+    kept, fresh = [], []
+    for split in children:
+        split.sort(key=lambda j: len(parts[j]))
+        kept.append(split.pop())
+        fresh += split
+    order = kept + fresh
+    new_id = [0] * len(order)
+    for k, j in enumerate(order):
+        new_id[j] = k
+    members = [set(parts[j]) for j in order]
+    moved = list(chain.from_iterable(map(parts.__getitem__, fresh)))
+    block = [*map(new_id.__getitem__, r.block_of), NO_NODE]
+    return block, list(map(len, members)), members, moved
 
 
 def _split_round(
@@ -167,16 +207,21 @@ def disjoint_union(ga: RbrGraph, gb: RbrGraph) -> RbrGraph:
     Designations are dropped and reachability is not enforced: the union
     exists only to compare belief hierarchies, which ignore both.  Both
     graphs are valid, so the union is built as it is, unchecked: gb's
-    successors move up by ga's node count, and ``NO_NODE`` (-1) reads the
-    ``NO_NODE`` appended to the shift.
+    successors move up by ga's node count in one gather over its
+    flattened rows, where ``NO_NODE`` (-1) reads the ``NO_NODE`` appended
+    to the shift.  The gather's two trailing ``NO_NODE`` indices make it
+    return a tuple even for a gb with no nodes or a single slot, and are
+    cut off before the rows are.
     """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
     shift = (*range(ga.num_nodes, ga.num_nodes + gb.num_nodes), NO_NODE)
+    gather = itemgetter(*chain.from_iterable(gb.succ), NO_NODE, NO_NODE)
+    flat = gather(shift)[:-2]
     return RbrGraph(
         agents=ga.agents,
         labels=ga.labels + gb.labels,
-        succ=ga.succ + tuple(tuple(map(shift.__getitem__, row)) for row in gb.succ),
+        succ=ga.succ + tuple(zip(*[iter(flat)] * gb.num_agents)),
         designated=(NO_NODE,) * ga.num_agents,
         node_names=ga.node_names + gb.node_names,
     )

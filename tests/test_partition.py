@@ -11,16 +11,20 @@ from rbr import (
     graphs_equivalent,
     initial_partition,
     is_canonical,
+    make_guess_average_game,
     minimise,
     nodes_doxastically_equivalent,
+    rational_solution,
     refine_once,
     validate_graph,
 )
 from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
+from rbr.graph import NO_NODE, RbrGraph
+from rbr.minimize import _quotient_graph
 import rbr.partition
-from rbr.partition import Partition, disjoint_union
-from .conftest import ABC, blow_up, chain
-from .test_properties import graphs
+from rbr.partition import Partition, _finest_with_rounds, disjoint_union
+from .conftest import ABC, blow_up, chain, iterated_refinement
+from .test_properties import graphs, refinement_inputs
 
 
 def test_initial_partition_is_label_classes(b1, b5):
@@ -183,6 +187,65 @@ def test_one_round_blow_up_keys_each_node_twice():
     assert report.nodes_keyed == 2 * g.num_nodes
     assert "predecessors" not in g.__dict__
     assert report.block_map == tuple(image)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5])
+def test_round_2_split_into_equal_parts_matches_iterated_refinement(copies):
+    # Round 1 tells the b nodes 3, 4 and 5 apart by which successors
+    # they have, so round 2 splits the a nodes 0, 1 and 2, which believe
+    # in them, into three parts of ``copies`` nodes each.
+    edges = [(0, 3), (1, 4), (2, 5), (3, 0), (4, 6), (5, 0), (5, 6)]
+    core = validate_graph(ABC, 7, [0, 0, 0, 1, 1, 1, 2], edges, {0: 0, 1: 3, 2: 6},
+                          require_reachable=False)
+    g, image = blow_up(random.Random(copies), core, copies)
+    p, counts, _ = _finest_with_rounds(g)
+    expect, expect_counts = iterated_refinement(g)
+    assert p == expect
+    assert counts == expect_counts
+    assert counts[:3] == [3, 5, 7]
+    assert p.block_of == tuple(image)
+
+
+@given(refinement_inputs())
+@settings(max_examples=200, deadline=None)
+def test_gathered_round_2_leaves_the_state_of_a_full_worklist_round(g):
+    """From round 1's partition, the gathered round 2 leaves the block
+    ids, sizes, members and moved nodes of a worklist round keying every
+    node, ties between equal parts broken alike."""
+    q = refine_once(g, initial_partition(g))
+    r = refine_once(g, q)
+    block = [*q.block_of, NO_NODE]
+    sizes = list(map(len, q.blocks()))
+    members = list(map(set, q.blocks()))
+    moved = rbr.partition._split_round(g.succ, block, sizes, members, g.nodes())
+    assert rbr.partition._worklist_start(q, r) == (block, sizes, members, moved)
+
+
+def test_solves_and_refinements_build_the_getters_once(corpus3):
+    core = max(corpus3, key=lambda g: g.num_nodes)
+    g, _ = blow_up(random.Random(5), core, 30)
+    game = make_guess_average_game(3, 6, agents=ABC)
+    assert "gathers" not in g.__dict__
+    minimise(g)
+    gathers = g.__dict__["gathers"]
+    assert len(gathers) == g.num_agents
+    for _ in range(2):
+        minimise(g)
+        rational_solution(g, game)
+        finest_partition(g)
+    assert g.__dict__["gathers"] is gathers
+
+
+def test_derived_and_raw_graphs_start_without_getters(b3, b5):
+    finest_partition(b3)
+    finest_partition(b5)
+    assert "gathers" in b3.__dict__ and "gathers" in b5.__dict__
+    raw = RbrGraph(agents=b5.agents, labels=b5.labels, succ=b5.succ,
+                   designated=b5.designated)
+    union = disjoint_union(b3, b5)
+    quotient = _quotient_graph(b5, finest_partition(b5))
+    for g in (raw, union, quotient):
+        assert "gathers" not in g.__dict__
 
 
 def _validated_union(ga, gb):

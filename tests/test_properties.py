@@ -38,7 +38,7 @@ from rbr import (
 )
 from rbr.errors import NonTermination
 from rbr.games import _payoff_classes, _scene_columns
-from rbr.graph import successor_keys
+from rbr.graph import NO_NODE, successor_keys
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
 import rbr.solve
@@ -419,6 +419,39 @@ def test_worklist_refiner_matches_iterated_refine_once(g):
         h = [belief_hierarchy_bounded(g, n, g.num_nodes) for n in g.nodes()]
         assert all(p.same_block(n, m) == (h[n] == h[m])
                    for n in g.nodes() for m in g.nodes())
+
+
+@st.composite
+def key_inputs(draw):
+    """A graph of 0-6 nodes over 1-3 agents, a head, values and fills,
+    and the nodes to key: None, 0-2 drawn nodes, or a drawn subset."""
+    num_agents = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        g = validate_graph(ABC[:num_agents], 0, [], [], {})
+    else:
+        g = draw(graphs(num_agents=num_agents))
+    head = draw(st.lists(st.integers(), min_size=g.num_nodes, max_size=g.num_nodes))
+    values = draw(st.lists(st.text(max_size=2), min_size=g.num_nodes, max_size=g.num_nodes))
+    fills = draw(st.lists(st.sampled_from("xyz"), min_size=num_agents, max_size=num_agents))
+    nodes = draw(st.none() | st.lists(st.sampled_from(g.nodes()), max_size=2)
+                 | st.lists(st.sampled_from(g.nodes()), max_size=8, unique=True)
+                 if g.num_nodes else st.sampled_from([None, []]))
+    return g, head, values, fills, nodes
+
+
+@given(key_inputs())
+@settings(max_examples=300, deadline=None)
+def test_successor_keys_match_the_per_node_reference(case):
+    """Whether keyed in full through the graph's getters or on a subset
+    through getters of its own, every node's key is its head, then per
+    agent the value at its successor or that agent's fill."""
+    g, head, values, fills, nodes = case
+    keyed = g.nodes() if nodes is None else nodes
+    expect = [
+        (head[n], *(values[m] if m != NO_NODE else fills[a] for a, m in enumerate(g.succ[n])))
+        for n in keyed
+    ]
+    assert list(successor_keys(g, head, values, fills, nodes)) == expect
 
 
 SOLVE_GAMES = {
