@@ -40,11 +40,13 @@ class Game:
     utility-defined; it must agree with ``compare`` and return exact
     rationals (``int`` or ``Fraction``).
 
-    A utility may carry the whole table as ``utility.rows(a)``: agent
-    ``a``'s payoffs as int rows in :func:`_payoff_rows`' column order, all
-    scaled by one positive constant per agent.  The payoff table is then
-    built without calling ``utility``.  The rows belong to the utility,
-    so ``dataclasses.replace(game, utility=...)`` drops them with it.
+    A utility may carry agent ``a``'s class table in closed form as
+    ``utility.classes(a)``: what :func:`_payoff_classes` would find by
+    deduping the columns of the payoff table, scaled by one positive
+    constant per agent.  The table is then built without calling
+    ``utility``; other utilities fill it one call per cell.  The classes
+    belong to the utility, so ``dataclasses.replace(game, utility=...)``
+    drops them with it.
     """
 
     agents: tuple[str, ...]
@@ -52,9 +54,10 @@ class Game:
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
     # Per-agent class table, filled on first use by _payoff_classes: the
-    # class of each payoff-table column and each class's int column.
+    # class of each payoff-table column, each class's int column, and the
+    # column classes in runs over the last opponent's strategies.
     # Excluded from init, so dataclasses.replace starts an empty cache.
-    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def num_agents(self) -> int:
@@ -178,16 +181,14 @@ def _check_cells(what: str, cells: int, cap: int) -> None:
 
 
 def _payoff_rows(game: Game, a: int) -> list[list[int]]:
-    """Agent ``a``'s utilities as ints, one row per own strategy.
+    """Agent ``a``'s utilities as ints, one row per own strategy, one
+    ``utility`` call per cell.
 
     Column ``j`` of a row is the opponent profile whose mixed-radix digits
     (opponents in declaration order, last one fastest) are its strategy
-    indices.  Every utility is scaled by one positive constant per agent,
-    which keeps the order exact: ``utility.rows`` when the utility has
-    it, else the agent's common denominator over per-cell utilities.
+    indices.  Every utility is scaled by the agent's common denominator,
+    which keeps the order exact.
     """
-    if hasattr(game.utility, "rows"):
-        return game.utility.rows(a)
     axes = list(game.strategies)
     utilities = []
     for s in game.strategies[a]:
@@ -197,23 +198,37 @@ def _payoff_rows(game: Game, a: int) -> list[list[int]]:
     return [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
 
 
-def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]], list]:
     """Agent ``a``'s payoff table quotiented by equal columns, cached on
-    ``game._rows``: the class of each column of :func:`_payoff_rows`
-    (numbered by first appearance), and each class's column, one payoff
-    per own strategy.  Opponent profiles with equal columns pay every
-    strategy of ``a`` alike, so no dominance test can tell them apart."""
-    table = game._rows.get(a)
+    ``game._classes``: the class of each column of :func:`_payoff_rows`,
+    each class's column, one payoff per own strategy, and the classes cut
+    into runs, one per profile of the opponents before the last.
+    Opponent profiles with equal columns pay every strategy of ``a``
+    alike, so no dominance test can tell them apart.  The table is
+    ``utility.classes(a)`` where the utility has it, else the columns of
+    :func:`_payoff_rows` numbered by first appearance."""
+    table = game._classes.get(a)
     if table is None:
-        index: dict = {}
-        classes = [index.setdefault(c, len(index)) for c in zip(*_payoff_rows(game, a))]
-        table = game._rows[a] = (classes, list(index))
+        if hasattr(game.utility, "classes"):
+            classes, class_columns = game.utility.classes(a)
+        else:
+            index: dict = {}
+            classes = [index.setdefault(c, len(index)) for c in zip(*_payoff_rows(game, a))]
+            class_columns = list(index)
+        others = [len(sp) for b, sp in enumerate(game.strategies) if b != a]
+        runs = list(zip(*[iter(classes)] * (others[-1] if others else 1)))
+        table = game._classes[a] = (classes, class_columns, runs)
     return table
 
 
-def _scene_columns(game: Game, scene: ReasoningScene) -> list[int]:
-    """Payoff-row columns of the opponent profiles ``scene`` allows."""
-    columns = [0]
+def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
+    """Column classes of the opponent profiles ``scene`` allows.
+
+    The leading opponents' picks index the runs of the agent's class
+    list, and one ``itemgetter`` reads the last opponent's picks out of
+    each run, so no Python code runs per column.
+    """
+    picks = []
     for b, space in enumerate(game.strategies):
         if b == scene.owner:
             continue
@@ -223,9 +238,20 @@ def _scene_columns(game: Game, scene: ReasoningScene) -> list[int]:
             raise ForeignStrategy(
                 f"opponent set for agent {b} is empty or leaves its space"
             )
-        radix = len(space)
-        columns = [c * radix + i for c in columns for i in picked]
-    return columns
+        picks.append((len(space), picked))
+    if not game.strategies[scene.owner]:
+        return set()
+    runs = _payoff_classes(game, scene.owner)[2]
+    # A game without opponents reads its one column as a run of one.
+    last = picks.pop()[1] if picks else [0]
+    leading = [0]
+    for radix, picked in picks:
+        leading = [c * radix + i for c in leading for i in picked]
+    # One pick is read as a slice, so that every run gives a tuple.
+    if len(last) == 1:
+        last = [slice(last[0], last[0] + 1)]
+    read = operator.itemgetter(*last)
+    return set(itertools.chain.from_iterable(map(read, map(runs.__getitem__, leading))))
 
 
 def rational_response(
@@ -251,12 +277,8 @@ def rational_response(
         return frozenset(survivors)
     cells = math.prod(len(sp) for sp in game.strategies)
     _check_cells(f"payoff table of agent {a}", cells, cap)
-    columns = _scene_columns(game, scene)
-    if not space:
-        return frozenset()
-    classes, class_columns = _payoff_classes(game, a)
-    hit = set(map(classes.__getitem__, columns))
-    vectors = list(zip(*map(class_columns.__getitem__, hit)))
+    hit = _scene_classes(game, scene)
+    vectors = list(zip(*map(_payoff_classes(game, a)[1].__getitem__, hit)))
     sums = list(map(sum, vectors))
     # A strict dominator has a larger sum over classes, and a dominated
     # strategy always has an undominated dominator, so checking each vector
@@ -309,22 +331,21 @@ def make_guess_average_game(
         target = Fraction(2 * others, 3 * (agent_count - 1))
         return -abs(target - outcome[a])
 
-    def rows(a: int) -> list[list[int]]:
+    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
         # Scaled by 3(agent_count - 1), a payoff is the int
         # -|2·others - scale·own|: a function of the own strategy and the
-        # opponents' sum, so a row looks its column sums up in one table.
-        scale = 3 * (agent_count - 1)
+        # opponents' sum, so a column's class is that sum less its least.
+        scale, low = 3 * (agent_count - 1), agent_count - 1
         sums = [0]
-        for _ in range(agent_count - 1):
-            sums = [t + s for t in sums for s in space]
-        totals = range((agent_count - 1) * max_int + 1)
-        out = []
-        for own in space:
-            payoff = [-abs(2 * t - scale * own) for t in totals]
-            out.append(list(map(payoff.__getitem__, sums)))
-        return out
+        for _ in range(low):
+            sums = [t + i for t in sums for i in range(max_int)]
+        columns = [
+            tuple(-abs(2 * others - scale * own) for own in space)
+            for others in range(low, low * max_int + 1)
+        ]
+        return sums, columns
 
-    utility.rows = rows
+    utility.classes = classes
     return utility_game(agents, [space] * agent_count, utility)
 
 
@@ -392,33 +413,42 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
             return 1
         return -1
 
-    def rows(a: int) -> list[list[int]]:
-        # A sequence with a tail reads one opponent's digit: +1 on the run
-        # of columns where that opponent plays the tail, -1 elsewhere.
+    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        # Opponent b's digit matters only where b plays a tail of one of
+        # a's sequences, a sequence of length <= k - 1 starting with b;
+        # its other strategies share the digit after the tails'.  A class
+        # is a mixed-radix number over these digits, and a sequence with
+        # a tail has +1 on the run of classes where b plays that tail.
+        opponents = [b for b in range(num) if b != a]
+        tails = {b: sorted(alternating_sequences(num, b, k - 1)) for b in opponents}
+        # Sequences start with their owner, so one map serves all opponents.
+        digit = {t: i for b in opponents for i, t in enumerate(tails[b])}
         strides = {}
         width = 1
-        for b in reversed(range(num)):
-            if b != a:
-                strides[b] = width
-                width *= len(spaces[b])
-        # Sequences start with their owner, so one map serves all opponents.
-        digit = {s: i for b in strides for i, s in enumerate(spaces[b])}
-        out = []
+        for b in reversed(opponents):
+            strides[b] = width
+            width *= len(tails[b]) + 1
+        sums = [0]
+        for b in opponents:
+            other = len(tails[b])
+            values = [digit.get(t, other) * strides[b] for t in spaces[b]]
+            sums = [c + v for c in sums for v in values]
+        rows = []
         for s in spaces[a]:
             if isinstance(s, Quit):
-                out.append([0] * width)
+                rows.append([0] * width)
             elif len(s) == 1:
-                out.append([-1] * width)
+                rows.append([-1] * width)
             else:
                 b = s[1]
-                size, stride = len(spaces[b]), strides[b]
+                size, stride = len(tails[b]) + 1, strides[b]
                 j = digit[s[1:]]
                 block = [-1] * (j * stride) + [1] * stride
                 block += [-1] * ((size - j - 1) * stride)
-                out.append(block * (width // (size * stride)))
-        return out
+                rows.append(block * (width // (size * stride)))
+        return sums, list(zip(*rows))
 
-    utility.rows = rows
+    utility.classes = classes
     return utility_game(tuple(agents), spaces, utility)
 
 
@@ -430,11 +460,10 @@ def make_binary_game(agents: Sequence[str]) -> Game:
     def utility(a: int, outcome: Outcome) -> int:
         return outcome[a]
 
-    def rows(a: int) -> list[list[int]]:
-        width = 2 ** (len(agents) - 1)
-        return [[0] * width, [1] * width]
+    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        return [0] * 2 ** (len(agents) - 1), [(0, 1)]
 
-    utility.rows = rows
+    utility.classes = classes
     return utility_game(tuple(agents), [(0, 1)] * len(agents), utility)
 
 

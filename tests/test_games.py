@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from rbr import (
     utility_game,
 )
 from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
+import rbr.games
 from rbr.games import (
     Quit,
     ReasoningScene,
@@ -136,7 +138,7 @@ def test_replaced_game_gets_a_fresh_payoff_table():
         compare=lambda a, s, s2: game.compare(a, s2, s),
         utility=lambda a, o: -game.utility(a, o),
     )
-    assert flipped._rows == {}
+    assert flipped._classes == {}
     assert rational_response(flipped, 0, scene) == {1, 2, 3, 10}
     # A constant utility has one column class; the cached 19 stay with game.
     flat = dataclasses.replace(game, utility=lambda a, o: 0)
@@ -237,8 +239,8 @@ def test_response_never_empty():
 
 
 def _per_cell(game):
-    """``game`` with a utility that carries no rows, so that its payoff
-    table is built one ``utility`` call per cell."""
+    """``game`` with a utility that carries no class table, so that its
+    payoff table is built one ``utility`` call per cell."""
     return dataclasses.replace(game, utility=lambda a, o: game.utility(a, o))
 
 
@@ -256,29 +258,58 @@ SMALL_BUILTINS = {
     **{f"binary, {n} agents": make_binary_game("abc"[:n]) for n in (1, 2, 3)},
 }
 
+# gk:4 and gk:5 on four agents are over the profile cap.
+LARGER_BUILTINS = {
+    **{
+        f"gk:{k}, {n} agents": make_sequence_game("abc"[:n], k)
+        for n in (2, 3)
+        for k in (4, 5)
+    },
+    "guess23:3:100": make_guess_average_game(3, 100),
+}
 
-@pytest.mark.parametrize("name", SMALL_BUILTINS)
+
+def _assert_scales_the_per_cell_columns(game, a, classes, class_columns):
+    """Each column's class column is agent ``a``'s per-cell column, a
+    payoff per own strategy from ``game.utility``, times one positive
+    scale for all columns."""
+    axes = list(game.strategies)
+    axes[a] = (None,)
+    profiles = list(itertools.product(*axes))
+    assert len(classes) == len(profiles)
+    scale = None
+    for c, profile in zip(classes, profiles):
+        cells = [game.utility(a, profile[:a] + (s,) + profile[a + 1:])
+                 for s in game.strategies[a]]
+        assert len(class_columns[c]) == len(cells)
+        for x, y in zip(class_columns[c], cells):
+            if scale is None and y:
+                scale = Fraction(x, y)
+                assert scale > 0
+            assert x == (scale or 0) * y
+
+
+@pytest.mark.parametrize("name", {**SMALL_BUILTINS, **LARGER_BUILTINS})
 def test_builtin_rows_scale_the_per_cell_rows(name):
-    game = SMALL_BUILTINS[name]
-    per_cell = _per_cell(game)
-    for a in range(game.num_agents):
-        rows, cells = game.utility.rows(a), _payoff_rows(per_cell, a)
-        assert [len(r) for r in rows] == [len(r) for r in cells]
-        pairs = [(x, y) for r, c in zip(rows, cells) for x, y in zip(r, c)]
-        scale = next((Fraction(x, y) for x, y in pairs if y), Fraction(1))
-        assert scale > 0
-        assert all(x == scale * y for x, y in pairs)
+    """A builtin's closed-form class table pays, in every column, what
+    the per-cell utilities pay, up to one positive scale per agent.
+    guess23:3:100 checks agent 0 alone: a million per-cell utilities take
+    seconds, and its classes are the same for every agent."""
+    game = {**SMALL_BUILTINS, **LARGER_BUILTINS}[name]
+    agents = [0] if name == "guess23:3:100" else range(game.num_agents)
+    for a in agents:
+        classes, class_columns = game.utility.classes(a)
+        _assert_scales_the_per_cell_columns(game, a, classes, class_columns)
 
 
 def _class_counts(game):
     """Per agent, the number of column classes of its payoff table, after
-    checking that each column equals its class's column."""
+    checking that each column equals its class's column up to one
+    positive scale, and that the classes are distinct and all used."""
     counts = []
     for a in range(game.num_agents):
-        classes, columns = _payoff_classes(game, a)
-        rows = _payoff_rows(game, a)
-        assert len(classes) == len(rows[0])
-        assert list(zip(*rows)) == [columns[c] for c in classes]
+        classes, columns, _ = _payoff_classes(game, a)
+        _assert_scales_the_per_cell_columns(game, a, classes, columns)
         assert sorted(set(classes)) == list(range(len(columns)))
         assert len(set(columns)) == len(columns)
         counts.append(len(columns))
@@ -299,7 +330,7 @@ def test_guess_average_classes_are_the_opponents_sums(n, top):
     ids=["guess23:3:100", "gk:5"],
 )
 def test_large_builtin_tables_merge_their_columns(make, columns, count):
-    classes, class_columns = _payoff_classes(make(), 0)
+    classes, class_columns, _ = _payoff_classes(make(), 0)
     assert (len(classes), len(class_columns)) == (columns, count)
 
 
@@ -320,12 +351,14 @@ def test_binary_game_has_one_class(n):
     assert _class_counts(make_binary_game("abcd"[:n])) == [1] * n
 
 
-ROWS_AND_PER_CELL = [(g, _per_cell(g)) for g in SMALL_BUILTINS.values()]
+CLASSES_AND_PER_CELL = [(g, _per_cell(g)) for g in SMALL_BUILTINS.values()]
 
 
 @given(st.data())
 def test_rows_and_per_cell_responses_agree(data):
-    game, per_cell = data.draw(st.sampled_from(ROWS_AND_PER_CELL))
+    """Responses on a builtin's closed-form class table are those on
+    its per-cell payoff table."""
+    game, per_cell = data.draw(st.sampled_from(CLASSES_AND_PER_CELL))
     a = data.draw(st.integers(0, game.num_agents - 1))
     opponents = {
         b: data.draw(st.sets(st.sampled_from(space), min_size=1))
@@ -357,8 +390,29 @@ def test_builtin_solve_calls_no_utility(b1, make):
         calls.append((a, s, s2))
         return game.compare(a, s, s2)
 
-    utility.rows = game.utility.rows
+    utility.classes = game.utility.classes
     counted = dataclasses.replace(game, utility=utility, compare=compare)
     expected = rational_solution(b1, _per_cell(game)).solution
     assert rational_solution(b1, counted).solution == expected
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda agents: make_sequence_game(agents, 5),
+        lambda agents: make_guess_average_game(3, 100, agents),
+    ],
+    ids=["gk:5", "guess23:3:100"],
+)
+def test_builtin_tables_never_take_the_per_cell_path(b1, make, monkeypatch):
+    game = make(b1.agents)
+    expected = rational_solution(b1, game).solution
+
+    def refuse(*args):
+        raise AssertionError(f"per-cell payoff called with {args}")
+
+    refuse.classes = game.utility.classes
+    monkeypatch.setattr(rbr.games, "_payoff_rows", refuse)
+    refusing = dataclasses.replace(game, utility=refuse)
+    assert rational_solution(b1, refusing).solution == expected

@@ -36,8 +36,8 @@ from rbr import (
     utility_game,
     validate_graph,
 )
-from rbr.errors import NonTermination
-from rbr.games import _payoff_classes, _scene_columns
+from rbr.errors import ForeignStrategy, NonTermination
+from rbr.games import ReasoningScene, _payoff_classes, _scene_classes
 from rbr.graph import NO_NODE, successor_keys
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
@@ -343,8 +343,22 @@ BIG_TABLE_GAMES = {
 
 
 def _classes_hit(game, scene):
-    classes, _ = _payoff_classes(game, scene.owner)
-    return set(map(classes.__getitem__, _scene_columns(game, scene)))
+    """The classes of the columns ``scene`` allows, enumerated one
+    profile at a time: a column's index is its opponent profile's
+    strategy indices in mixed radix, last opponent fastest."""
+    classes = _payoff_classes(game, scene.owner)[0]
+    axes = [
+        [(i, len(space)) for i, s in enumerate(space) if s in scene.opponents[b]]
+        for b, space in enumerate(game.strategies)
+        if b != scene.owner
+    ]
+    hit = set()
+    for profile in itertools.product(*axes):
+        column = 0
+        for i, radix in profile:
+            column = column * radix + i
+        hit.add(classes[column])
+    return hit
 
 
 @pytest.mark.parametrize("name", BIG_TABLE_GAMES)
@@ -379,6 +393,78 @@ def test_big_builtin_classes_match_the_pairwise_path(name, data):
         assert len(_classes_hit(game, scene)) == count
     pairwise = dataclasses.replace(game, utility=None)
     assert rational_response(game, a, scene) == rational_response(pairwise, a, scene)
+
+
+def _merged_table_game():
+    """A 3-agent table document whose utilities depend on the own
+    strategy and on the parity of the opponents' strategy indices, so
+    that each agent's columns merge into two classes."""
+    sizes = (3, 4, 2)
+    lines = ["game normal-form", "agents " + " ".join(ABC)]
+    lines += [f"strategies {name}: " + " ".join(f"s{i}" for i in range(n))
+              for name, n in zip(ABC, sizes)]
+    for a, name in enumerate(ABC):
+        for profile in itertools.product(*map(range, sizes)):
+            odd = (sum(profile) - profile[a]) % 2
+            own = profile[a] if odd else -profile[a]
+            cells = " ".join(f"s{i}" for i in profile)
+            lines.append(f"utility {name} {cells} {own}/{2 + odd}")
+    return parse_game("\n".join(lines) + "\n")
+
+
+# Scenes of these games are read run by run: 3-agent tables with one
+# leading opponent, 2-agent ones with none, 4-agent ones with two, and a
+# game without opponents.
+HIT_GAMES = {
+    **BIG_TABLE_GAMES,
+    "guess23:2:7": make_guess_average_game(2, 7),
+    "gk:3, 2 agents": make_sequence_game(("a", "b"), 3),
+    "guess23:4:4": make_guess_average_game(4, 4),
+    "gk:2, 4 agents": make_sequence_game(("a", "b", "c", "d"), 2),
+    "merged table": _merged_table_game(),
+    "binary, 1 agent": make_binary_game(("a",)),
+}
+
+
+@pytest.mark.parametrize("name", HIT_GAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_scene_classes_are_the_enumerated_columns_classes(name, data):
+    """The classes a scene hits, read run by run, are the classes of its
+    columns enumerated one by one, also when the last opponent has one
+    strategy in the scene."""
+    game = HIT_GAMES[name]
+    a = data.draw(st.integers(0, game.num_agents - 1))
+    opponents = {
+        b: data.draw(st.sets(st.sampled_from(space), min_size=1))
+        for b, space in enumerate(game.strategies)
+        if b != a
+    }
+    if opponents and data.draw(st.booleans()):
+        last = max(opponents)
+        opponents[last] = {data.draw(st.sampled_from(game.strategies[last]))}
+    scene = make_scene(game, a, opponents)
+    assert _scene_classes(game, scene) == _classes_hit(game, scene)
+
+
+@pytest.mark.parametrize("name", [n for n, g in HIT_GAMES.items() if g.num_agents > 1])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_empty_or_foreign_opponent_sets_are_rejected(name, data):
+    game = HIT_GAMES[name]
+    a = data.draw(st.integers(0, game.num_agents - 1))
+    b = data.draw(st.integers(0, game.num_agents - 1).filter(lambda b: b != a))
+    opponents = [frozenset(space) for space in game.strategies]
+    opponents[a] = frozenset()
+    if data.draw(st.booleans()):
+        opponents[b] = frozenset()
+    else:
+        kept = data.draw(st.sets(st.sampled_from(game.strategies[b])))
+        opponents[b] = frozenset(kept | {("foreign",)})
+    scene = ReasoningScene(a, tuple(opponents))
+    with pytest.raises(ForeignStrategy,
+                       match=f"^opponent set for agent {b} is empty or leaves its space$"):
+        rational_response(game, a, scene)
 
 
 @given(data=st.data())
