@@ -116,7 +116,10 @@ def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
         if b == owner:
             opponents.append(frozenset())
             continue
-        entries = frozenset(opponent_sets[b])
+        try:
+            entries = frozenset(opponent_sets[b])
+        except (KeyError, IndexError):
+            raise ForeignStrategy(f"no opponent set for agent {b}") from None
         if not entries:
             raise ForeignStrategy(f"empty opponent set for agent {b}")
         if not entries <= set(game.strategies[b]):

@@ -8,9 +8,11 @@ isomorphism) smallest graph equivalent to the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NotFinest
-from .graph import NO_NODE, RbrGraph, validate_graph
+from .graph import NO_NODE, RbrGraph
+from .graph import validate_graph  # unused here; perfbench/tracing.py patches it
 from .partition import Partition, _finest_with_rounds, refine_once
 
 
@@ -28,12 +30,13 @@ def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
     """Collapse each block of the finest partition ``p`` into one node.
 
     Block k becomes node k (blocks are numbered by smallest member) and
-    takes its label and name from that member; every input edge maps to
-    a block edge, and designations carry over.  A partition that one more
-    refinement pass would still split, or one numbered otherwise, is
-    rejected.  Reachability is not re-checked: block images of paths are
-    paths, so the quotient of a reachable graph is reachable, and a graph
-    built without it, such as a disjoint union, has a quotient too.
+    takes its label, name and successors from that member.  A partition
+    that does not cover the node set, mixes labels, would still split in
+    one more refinement pass, or is numbered otherwise, is rejected; no
+    other check is made, since a valid graph's quotient by a stable
+    partition is valid.  Block images of paths are paths, so a reachable
+    graph has a reachable quotient, and a graph built without
+    reachability, such as a disjoint union, has a quotient too.
     """
     if refine_once(g, p) != p:
         raise NotFinest("partition is not refinement-stable")
@@ -41,29 +44,20 @@ def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
 
 
 def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
-    """:func:`quotient` without its stability check.
-
-    Block k's edges are those of its first member; on a stable partition
-    every member's edges map to the same block edges.
+    """:func:`quotient` without its stability check, built directly, as
+    :func:`~rbr.partition.disjoint_union` is.  Block k's row is its
+    first member's; the rows, in one flat run, and the designations are
+    mapped through ``image``, where ``NO_NODE`` (-1) reads ``NO_NODE``.
     """
     firsts = [members[0] for members in p.blocks()]
-    edges = [
-        (k, p.block_of[m])
-        for k, n in enumerate(firsts)
-        for m in g.succ[n]
-        if m != NO_NODE
-    ]
-    designation = {
-        a: p.block_of[n] for a, n in enumerate(g.designated) if n != NO_NODE
-    }
-    return validate_graph(
-        g.agents,
-        p.block_count,
-        [g.labels[n] for n in firsts],
-        edges,
-        designation,
-        node_names=[g.node_names[n] for n in firsts],
-        require_reachable=False,
+    image = (*p.block_of, NO_NODE)
+    flat = map(image.__getitem__, chain.from_iterable(map(g.succ.__getitem__, firsts)))
+    return RbrGraph(
+        agents=g.agents,
+        labels=tuple([g.labels[n] for n in firsts]),
+        succ=tuple(zip(*[flat] * g.num_agents)),
+        designated=tuple(map(image.__getitem__, g.designated)),
+        node_names=tuple([g.node_names[n] for n in firsts]),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -57,10 +57,17 @@ def initial_partition(g: RbrGraph) -> Partition:
 
 
 def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
-    rep: dict[int, int] = {}
-    for n, k in enumerate(p.block_of):
-        if rep.setdefault(k, g.labels[n]) != g.labels[n]:
-            raise LabelMixingPartition(f"block {k} mixes labels")
+    """Reject a partition that does not cover ``g``'s nodes, or one whose
+    blocks mix labels: every node against its block's first member."""
+    if len(p.block_of) != g.num_nodes:
+        raise PartialMapping(
+            f"partition of {len(p.block_of)} nodes for a graph of {g.num_nodes}"
+        )
+    first = dict(zip(reversed(p.block_of), reversed(g.labels)))
+    mixed = list(map(ne, map(first.__getitem__, p.block_of), g.labels))
+    if True in mixed:
+        k = p.block_of[mixed.index(True)]
+        raise LabelMixingPartition(f"block {k} mixes labels")
 
 
 def refine_once(g: RbrGraph, p: Partition) -> Partition:

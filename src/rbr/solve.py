@@ -46,19 +46,14 @@ def full_solution(g: RbrGraph, game: Game) -> Solution:
 
 def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene:
     """Scene at node ``n``: successor entries where they exist, full spaces
-    for agents not believed rational."""
+    for agents not believed rational.  It is the scene of ``n``'s key,
+    built as the solver builds it (:func:`_key_scene`)."""
     g.check_node(n)
-    owner = g.labels[n]
-    opponents = []
-    for b in range(game.num_agents):
-        if b == owner:
-            opponents.append(frozenset())
-        else:
-            m = g.succ[n][b]
-            opponents.append(
-                s[m] if m != NO_NODE else frozenset(game.strategies[b])
-            )
-    return ReasoningScene(owner=owner, opponents=tuple(opponents))
+    check_compatible(g, game)
+    if len(s) != g.num_nodes:
+        raise InvalidSolution("solution does not cover the node set")
+    spaces = [frozenset(space) for space in game.strategies]
+    return _key_scene(next(successor_keys(g, g.labels, s, spaces, [n])))
 
 
 class _ResponseMemo(dict):

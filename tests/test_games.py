@@ -128,6 +128,12 @@ def test_scene_outside_the_space_is_rejected(guess):
         rational_response(guess, 0, scene)
 
 
+def test_make_scene_without_an_opponent_set_names_the_agent():
+    game = make_guess_average_game(3, 4)
+    with pytest.raises(ForeignStrategy, match="no opponent set for agent 2"):
+        make_scene(game, 0, {1: [1]})
+
+
 def test_replaced_game_gets_a_fresh_payoff_table():
     game = make_guess_average_game(3, 10)
     scene = full_scene(game, 0)

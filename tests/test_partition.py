@@ -20,7 +20,7 @@ from rbr import (
 )
 from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
 from rbr.graph import NO_NODE, RbrGraph
-from rbr.minimize import _quotient_graph
+from rbr.minimize import _quotient_graph, quotient
 import rbr.partition
 from rbr.partition import Partition, _finest_with_rounds, disjoint_union
 from .conftest import ABC, blow_up, chain, iterated_refinement
@@ -55,6 +55,41 @@ def test_refine_discrete_partition_fixed(b3):
 def test_refine_rejects_label_mixing(b1):
     with pytest.raises(LabelMixingPartition):
         refine_once(b1, Partition(block_of=(0, 0, 1), block_count=2))
+
+
+def test_refine_and_quotient_reject_a_partition_of_the_wrong_length(b2):
+    for p in (Partition((0, 1, 2), 3), Partition((0,), 1)):
+        with pytest.raises(PartialMapping, match="partition of"):
+            refine_once(b2, p)
+        with pytest.raises(PartialMapping, match="partition of"):
+            quotient(b2, p)
+
+
+def _first_mixing_block(g, p):
+    """The block a label check names: that of the first node, in node
+    order, whose label differs from the first member of its block."""
+    rep = {}
+    for n, k in enumerate(p.block_of):
+        if rep.setdefault(k, g.labels[n]) != g.labels[n]:
+            return k
+    return None
+
+
+def test_label_mixing_message_names_the_first_mixing_block(corpus, b1, b5):
+    rng = random.Random(11)
+    named = set()
+    for g in [*corpus, b1, b5]:
+        for _ in range(10):
+            count = rng.randint(1, g.num_nodes)
+            p = Partition(tuple(rng.randrange(count) for _ in g.nodes()), count)
+            k = _first_mixing_block(g, p)
+            if k is None:
+                refine_once(g, p)
+                continue
+            with pytest.raises(LabelMixingPartition, match=rf"^block {k} mixes labels$"):
+                refine_once(g, p)
+            named.add(k)
+    assert len(named) > 2
 
 
 def test_finest_partition(b1, b4, b5):
@@ -246,6 +281,42 @@ def test_derived_and_raw_graphs_start_without_getters(b3, b5):
     quotient = _quotient_graph(b5, finest_partition(b5))
     for g in (raw, union, quotient):
         assert "gathers" not in g.__dict__
+
+
+def _validated_quotient(g, p):
+    """The quotient rebuilt from its first members' edges through
+    ``validate_graph``: the reference for ``_quotient_graph``'s
+    unchecked build."""
+    firsts = [members[0] for members in p.blocks()]
+    edges = [
+        (k, p.block_of[m]) for k, n in enumerate(firsts) for m in g.succ[n] if m != NO_NODE
+    ]
+    return validate_graph(
+        g.agents,
+        p.block_count,
+        [g.labels[n] for n in firsts],
+        edges,
+        {a: p.block_of[n] for a, n in enumerate(g.designated) if n != NO_NODE},
+        node_names=[g.node_names[n] for n in firsts],
+        require_reachable=False,
+    )
+
+
+def test_quotient_equals_the_validated_build(corpus3, b3, b5):
+    rng = random.Random(7)
+    graphs = [*corpus3, b3, b5, disjoint_union(b3, b5), validate_graph(ABC, 0, [], [], {})]
+    graphs += [blow_up(rng, core, rng.randint(2, 6))[0] for core in corpus3]
+    for g in graphs:
+        p = finest_partition(g)
+        assert _quotient_graph(g, p) == _validated_quotient(g, p)
+        assert quotient(g, p) == _validated_quotient(g, p)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_drawn_quotient_equals_the_validated_build(g):
+    p = finest_partition(g)
+    assert _quotient_graph(g, p) == _validated_quotient(g, p)
 
 
 def _validated_union(ga, gb):

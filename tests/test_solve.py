@@ -51,6 +51,19 @@ def test_belief_scene_isolated_node(guess):
     assert scene.opponents[1] == scene.opponents[2] == ALL10
 
 
+def test_belief_scene_needs_matching_agents(b1):
+    s = (frozenset({1}),) * 3
+    for game in (make_guess_average_game(2, 10),
+                 make_guess_average_game(3, 10, agents=("x", "y", "z"))):
+        with pytest.raises(AgentMissingFromGame):
+            belief_scene(b1, game, s, 0)
+
+
+def test_belief_scene_needs_a_full_solution(b1, guess):
+    with pytest.raises(InvalidSolution):
+        belief_scene(b1, guess, full_solution(b1, guess)[:-1], 0)
+
+
 def test_rationalise_rounds(b1, b2, guess):
     assert rationalise(b1, guess, full_solution(b1, guess)) == (
         frozenset(range(1, 8)),
