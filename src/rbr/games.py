@@ -47,6 +47,13 @@ class Game:
     ``utility``; other utilities fill it one call per cell.  The classes
     belong to the utility, so ``dataclasses.replace(game, utility=...)``
     drops them with it.
+
+    A utility may also carry ``utility.respond(a, scene)``, the exact set
+    of agent ``a``'s undominated strategies in a scene that
+    :func:`rational_response` has already checked (owner, cell cap,
+    opponent sets inside their spaces).  :func:`rational_response` then
+    returns it and builds no class table; the builtin games give one in
+    closed form.  It too belongs to the utility and is dropped with it.
     """
 
     agents: tuple[str, ...]
@@ -117,9 +124,15 @@ def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
             opponents.append(frozenset())
             continue
         try:
-            entries = frozenset(opponent_sets[b])
+            entries = opponent_sets[b]
         except (KeyError, IndexError):
             raise ForeignStrategy(f"no opponent set for agent {b}") from None
+        try:
+            entries = frozenset(entries)
+        except TypeError:
+            raise ForeignStrategy(
+                f"opponent set for agent {b} is not a collection of strategies"
+            ) from None
         if not entries:
             raise ForeignStrategy(f"empty opponent set for agent {b}")
         if not entries <= set(game.strategies[b]):
@@ -224,13 +237,10 @@ def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]
     return table
 
 
-def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
-    """Column classes of the opponent profiles ``scene`` allows.
-
-    The leading opponents' picks index the runs of the agent's class
-    list, and one ``itemgetter`` reads the last opponent's picks out of
-    each run, so no Python code runs per column.
-    """
+def _scene_picks(game: Game, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
+    """Per opponent of the scene's owner, in order: its space's size and
+    the indices of the strategies the scene allows.  Raises ForeignStrategy
+    when an opponent set is empty or leaves its space."""
     picks = []
     for b, space in enumerate(game.strategies):
         if b == scene.owner:
@@ -242,6 +252,17 @@ def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
                 f"opponent set for agent {b} is empty or leaves its space"
             )
         picks.append((len(space), picked))
+    return picks
+
+
+def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
+    """Column classes of the opponent profiles ``scene`` allows.
+
+    The leading opponents' picks index the runs of the agent's class
+    list, and one ``itemgetter`` reads the last opponent's picks out of
+    each run, so no Python code runs per column.
+    """
+    picks = _scene_picks(game, scene)
     if not game.strategies[scene.owner]:
         return set()
     runs = _payoff_classes(game, scene.owner)[2]
@@ -262,10 +283,11 @@ def rational_response(
 ) -> frozenset:
     """Undominated strategies of ``a`` in ``scene``; never empty.
 
-    Utility games are solved on the agent's integer payoff table (at most
-    ``cap`` cells, else SizeCap) quotiented by equal columns: the vectors
-    compared hold one entry per column class the scene hits.  Compare-only
-    games use pairwise :func:`dominates` checks.
+    Utility games have at most ``cap`` payoff-table cells (else SizeCap).
+    A utility with ``respond`` answers the checked scene itself; any other
+    is solved on the agent's integer payoff table quotiented by equal
+    columns: the vectors compared hold one entry per column class the
+    scene hits.  Compare-only games use pairwise :func:`dominates` checks.
     """
     if scene.owner != a:
         raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
@@ -280,6 +302,10 @@ def rational_response(
         return frozenset(survivors)
     cells = math.prod(len(sp) for sp in game.strategies)
     _check_cells(f"payoff table of agent {a}", cells, cap)
+    respond = getattr(game.utility, "respond", None)
+    if respond is not None:
+        _scene_picks(game, scene)
+        return respond(a, scene)
     hit = _scene_classes(game, scene)
     vectors = list(zip(*map(_payoff_classes(game, a)[1].__getitem__, hit)))
     sums = list(map(sum, vectors))
@@ -348,7 +374,23 @@ def make_guess_average_game(
         ]
         return sums, columns
 
+    def respond(a: int, scene: ReasoningScene) -> frozenset:
+        # Scaled by s, own guess x pays -|2t - s·x| against opponents' sum
+        # t, so x + 1 beats x on every allowed t iff 4·tmin > s(2x + 1),
+        # and x - 1 iff 4·tmax < s(2x - 1); a farther guess beats x only
+        # where its nearer neighbour does.  A tie at a midpoint defeats
+        # dominance, hence the strict comparisons.
+        s = 3 * (agent_count - 1)
+        opponents = scene.opponents[:a] + scene.opponents[a + 1:]
+        tmin4, tmax4 = 4 * sum(map(min, opponents)), 4 * sum(map(max, opponents))
+        return frozenset(
+            x for x in space
+            if not (x < max_int and tmin4 > s * (2 * x + 1)
+                    or x > 1 and tmax4 < s * (2 * x - 1))
+        )
+
     utility.classes = classes
+    utility.respond = respond
     return utility_game(agents, [space] * agent_count, utility)
 
 
@@ -451,7 +493,22 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
                 rows.append(block * (width // (size * stride)))
         return sums, list(zip(*rows))
 
+    # Per agent, its sequences of length >= 2 by their tails.
+    by_tail = [{s[1:]: s for s in space[1:] if len(s) > 1} for space in spaces]
+
+    def respond(a: int, scene: ReasoningScene) -> frozenset:
+        # A sequence pays 1 where its tail is played and -1 elsewhere, so
+        # Quit (0 everywhere) dominates it exactly when the scene rules
+        # its tail out, and nothing beats its 1s otherwise.  Quit falls to
+        # a survivor whose tail's head can play nothing else.
+        opponents = scene.opponents
+        survivors = [s for t, s in by_tail[a].items() if t in opponents[t[0]]]
+        if not any(len(opponents[s[1]]) == 1 for s in survivors):
+            survivors.append(spaces[a][0])
+        return frozenset(survivors)
+
     utility.classes = classes
+    utility.respond = respond
     return utility_game(tuple(agents), spaces, utility)
 
 
@@ -466,7 +523,11 @@ def make_binary_game(agents: Sequence[str]) -> Game:
     def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
         return [0] * 2 ** (len(agents) - 1), [(0, 1)]
 
+    def respond(a: int, scene: ReasoningScene) -> frozenset:
+        return frozenset({1})
+
     utility.classes = classes
+    utility.respond = respond
     return utility_game(tuple(agents), [(0, 1)] * len(agents), utility)
 
 

@@ -96,6 +96,16 @@ def test_solve_b1_on_a_ten_thousand_column_table(paths, capsys):
     assert all(f"agent {a}: {{1}}" in out for a in "abc")
 
 
+def test_solve_two_agents_on_a_million_cell_table(tmp_path, capsys):
+    """guess23:2:1000 is at the profile cap; its closed-form responses
+    answer at once where the class-table kernel took tens of seconds."""
+    p = tmp_path / "mutual.rbr"
+    p.write_text("agents a b\nnode na a\nnode nb b\nedge na nb\nedge nb na\n"
+                 "real a na\nreal b nb\n")
+    assert main(["solve", str(p), "guess23:2:1000"]) == 0
+    assert capsys.readouterr().out == "agent a: {1}\nagent b: {1}\n"
+
+
 def test_solve_b2(paths, capsys):
     assert main(["solve", paths["b2"], "guess23:3:10"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rbr import (
     dominates,
@@ -132,6 +132,22 @@ def test_make_scene_without_an_opponent_set_names_the_agent():
     game = make_guess_average_game(3, 4)
     with pytest.raises(ForeignStrategy, match="no opponent set for agent 2"):
         make_scene(game, 0, {1: [1]})
+
+
+@pytest.mark.parametrize("entries", [5, [[1]]], ids=["not iterable", "unhashable"])
+def test_make_scene_with_a_malformed_opponent_set_names_the_agent(entries):
+    game = make_guess_average_game(3, 4)
+    with pytest.raises(ForeignStrategy, match="^opponent set for agent 1 "):
+        make_scene(game, 0, {1: entries, 2: [1]})
+
+
+def test_guess_target_on_a_midpoint_keeps_both_neighbours():
+    # Five guessers: 4·9 = 12·(2·1 + 1), so opponents summing to 9 put the
+    # target 2·9/12 = 3/2 midway between 1 and 2, and neither dominates.
+    game = make_guess_average_game(5, 4)
+    scene = make_scene(game, 0, {1: {3}, 2: {2}, 3: {2}, 4: {2}})
+    assert rational_response(game, 0, scene) == {1, 2}
+    assert rational_response(_per_cell(game), 0, scene) == {1, 2}
 
 
 def test_replaced_game_gets_a_fresh_payoff_table():
@@ -357,13 +373,26 @@ def test_binary_game_has_one_class(n):
     assert _class_counts(make_binary_game("abcd"[:n])) == [1] * n
 
 
-CLASSES_AND_PER_CELL = [(g, _per_cell(g)) for g in SMALL_BUILTINS.values()]
+# Five guessers give s = 3(5 - 1) = 12, so a target can sit exactly on the
+# midpoint of two guesses, where neither dominates the other; gk:4 has
+# tails of length three.
+EXACTNESS_BUILTINS = {
+    **{f"guess23:5:{top}": make_guess_average_game(5, top) for top in range(3, 10)},
+    **{f"gk:4, {n} agents": make_sequence_game("abc"[:n], 4) for n in (2, 3)},
+}
+
+CLASSES_AND_PER_CELL = [
+    (g, _per_cell(g)) for g in {**SMALL_BUILTINS, **EXACTNESS_BUILTINS}.values()
+]
 
 
+# No deadline: the first draw of a game builds its per-cell reference table,
+# up to 59,049 exact utilities per agent for guess23:5:9.
 @given(st.data())
+@settings(deadline=None)
 def test_rows_and_per_cell_responses_agree(data):
-    """Responses on a builtin's closed-form class table are those on
-    its per-cell payoff table."""
+    """A builtin's closed-form responses are the responses on its
+    per-cell payoff table."""
     game, per_cell = data.draw(st.sampled_from(CLASSES_AND_PER_CELL))
     a = data.draw(st.integers(0, game.num_agents - 1))
     opponents = {
@@ -422,3 +451,35 @@ def test_builtin_tables_never_take_the_per_cell_path(b1, make, monkeypatch):
     monkeypatch.setattr(rbr.games, "_payoff_rows", refuse)
     refusing = dataclasses.replace(game, utility=refuse)
     assert rational_solution(b1, refusing).solution == expected
+
+
+def _kernel(game):
+    """``game`` with a utility that carries the closed-form class table
+    but no closed-form response, so that it is solved by the kernel."""
+
+    def utility(a, o):
+        return game.utility(a, o)
+
+    utility.classes = game.utility.classes
+    return dataclasses.replace(game, utility=utility)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda agents: make_guess_average_game(3, 100, agents),
+        lambda agents: make_sequence_game(agents, 5),
+        make_binary_game,
+    ],
+    ids=["guess23:3:100", "gk:5", "binary"],
+)
+def test_builtin_solves_build_no_class_table(b1, make, monkeypatch):
+    game = make(b1.agents)
+    expected = rational_solution(b1, _kernel(game)).solution
+
+    def refuse(*args):
+        raise AssertionError(f"class table built with {args}")
+
+    monkeypatch.setattr(rbr.games, "_payoff_classes", refuse)
+    assert rational_solution(b1, game).solution == expected
+    assert game._classes == {}
