@@ -40,20 +40,13 @@ class Game:
     utility-defined; it must agree with ``compare`` and return exact
     rationals (``int`` or ``Fraction``).
 
-    A utility may carry agent ``a``'s class table in closed form as
-    ``utility.classes(a)``: what :func:`_payoff_classes` would find by
-    deduping the columns of the payoff table, scaled by one positive
-    constant per agent.  The table is then built without calling
-    ``utility``; other utilities fill it one call per cell.  The classes
-    belong to the utility, so ``dataclasses.replace(game, utility=...)``
-    drops them with it.
-
-    A utility may also carry ``utility.respond(a, scene)``, the exact set
+    A utility may carry ``utility.respond(a, scene)``, the exact set
     of agent ``a``'s undominated strategies in a scene that
-    :func:`rational_response` has already checked (owner, cell cap,
-    opponent sets inside their spaces).  :func:`rational_response` then
-    returns it and builds no class table; the builtin games give one in
-    closed form.  It too belongs to the utility and is dropped with it.
+    :func:`rational_response` has already checked (owner, cell cap, one
+    opponent set per agent, each inside its space).
+    :func:`rational_response` then returns it and builds no class table;
+    the builtin games give one in closed form.  It belongs to the
+    utility, so ``dataclasses.replace(game, utility=...)`` drops it.
     """
 
     agents: tuple[str, ...]
@@ -61,8 +54,7 @@ class Game:
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
     # Per-agent class table, filled on first use by _payoff_classes: the
-    # class of each payoff-table column, each class's int column, and the
-    # column classes in runs over the last opponent's strategies.
+    # class of each payoff-table column and each class's int column.
     # Excluded from init, so dataclasses.replace starts an empty cache.
     _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -118,6 +110,8 @@ def full_scene(game: Game, a: int) -> ReasoningScene:
 
 def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
     """Validate and freeze a reasoning scene for ``owner``."""
+    if owner not in range(game.num_agents):
+        raise SceneOwnerMismatch(f"no agent {owner} among {game.num_agents} agents")
     opponents = []
     for b in range(game.num_agents):
         if b == owner:
@@ -161,6 +155,20 @@ def _scene_profiles(game: Game, scene: ReasoningScene, cap: int):
     return itertools.product(*axes)
 
 
+def _check_scene(game: Game, a: int, scene: ReasoningScene) -> None:
+    """Raise SceneOwnerMismatch unless ``scene`` is agent ``a``'s and ``a``
+    is an agent of ``game``, and ForeignStrategy unless the scene has one
+    opponent slot per agent."""
+    if scene.owner != a:
+        raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
+    if a not in range(game.num_agents):
+        raise SceneOwnerMismatch(f"no agent {a} among {game.num_agents} agents")
+    if len(scene.opponents) != game.num_agents:
+        raise ForeignStrategy(
+            f"scene has {len(scene.opponents)} opponent slots for {game.num_agents} agents"
+        )
+
+
 def dominates(
     game: Game,
     a: int,
@@ -173,8 +181,7 @@ def dominates(
 
     Equivalence and incomparability on any profile both defeat dominance.
     """
-    if scene.owner != a:
-        raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
+    _check_scene(game, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
         raise ForeignStrategy((s, s_prime))
@@ -196,44 +203,32 @@ def _check_cells(what: str, cells: int, cap: int) -> None:
         raise SizeCap(f"{what} has {cells} cells (cap {cap})")
 
 
-def _payoff_rows(game: Game, a: int) -> list[list[int]]:
-    """Agent ``a``'s utilities as ints, one row per own strategy, one
-    ``utility`` call per cell.
+def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Agent ``a``'s integer payoff table quotiented by equal columns,
+    cached on ``game._classes``: the class of each column and each
+    class's column, one payoff per own strategy, classes numbered by
+    first appearance.
 
-    Column ``j`` of a row is the opponent profile whose mixed-radix digits
-    (opponents in declaration order, last one fastest) are its strategy
-    indices.  Every utility is scaled by the agent's common denominator,
-    which keeps the order exact.
+    The table is filled one ``utility`` call per cell.  Column ``j`` is
+    the opponent profile whose mixed-radix digits (opponents in
+    declaration order, last one fastest) are its strategy indices, and
+    every utility is scaled by the agent's common denominator, which
+    keeps the order exact.  Opponent profiles with equal columns pay
+    every strategy of ``a`` alike, so no dominance test can tell them
+    apart.
     """
-    axes = list(game.strategies)
-    utilities = []
-    for s in game.strategies[a]:
-        axes[a] = (s,)
-        utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
-    den = math.lcm(*(u.denominator for row in utilities for u in row))
-    return [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
-
-
-def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]], list]:
-    """Agent ``a``'s payoff table quotiented by equal columns, cached on
-    ``game._classes``: the class of each column of :func:`_payoff_rows`,
-    each class's column, one payoff per own strategy, and the classes cut
-    into runs, one per profile of the opponents before the last.
-    Opponent profiles with equal columns pay every strategy of ``a``
-    alike, so no dominance test can tell them apart.  The table is
-    ``utility.classes(a)`` where the utility has it, else the columns of
-    :func:`_payoff_rows` numbered by first appearance."""
     table = game._classes.get(a)
     if table is None:
-        if hasattr(game.utility, "classes"):
-            classes, class_columns = game.utility.classes(a)
-        else:
-            index: dict = {}
-            classes = [index.setdefault(c, len(index)) for c in zip(*_payoff_rows(game, a))]
-            class_columns = list(index)
-        others = [len(sp) for b, sp in enumerate(game.strategies) if b != a]
-        runs = list(zip(*[iter(classes)] * (others[-1] if others else 1)))
-        table = game._classes[a] = (classes, class_columns, runs)
+        axes = list(game.strategies)
+        utilities = []
+        for s in game.strategies[a]:
+            axes[a] = (s,)
+            utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
+        den = math.lcm(*(u.denominator for row in utilities for u in row))
+        rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
+        index: dict = {}
+        classes = [index.setdefault(c, len(index)) for c in zip(*rows)]
+        table = game._classes[a] = (classes, list(index))
     return table
 
 
@@ -256,26 +251,16 @@ def _scene_picks(game: Game, scene: ReasoningScene) -> list[tuple[int, list[int]
 
 
 def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
-    """Column classes of the opponent profiles ``scene`` allows.
-
-    The leading opponents' picks index the runs of the agent's class
-    list, and one ``itemgetter`` reads the last opponent's picks out of
-    each run, so no Python code runs per column.
-    """
+    """Column classes of the opponent profiles ``scene`` allows: the
+    picks' column indices in mixed radix, last opponent fastest, mapped
+    through the owner's class list."""
     picks = _scene_picks(game, scene)
     if not game.strategies[scene.owner]:
         return set()
-    runs = _payoff_classes(game, scene.owner)[2]
-    # A game without opponents reads its one column as a run of one.
-    last = picks.pop()[1] if picks else [0]
-    leading = [0]
+    columns = [0]
     for radix, picked in picks:
-        leading = [c * radix + i for c in leading for i in picked]
-    # One pick is read as a slice, so that every run gives a tuple.
-    if len(last) == 1:
-        last = [slice(last[0], last[0] + 1)]
-    read = operator.itemgetter(*last)
-    return set(itertools.chain.from_iterable(map(read, map(runs.__getitem__, leading))))
+        columns = [c * radix + i for c in columns for i in picked]
+    return set(map(_payoff_classes(game, scene.owner)[0].__getitem__, columns))
 
 
 def rational_response(
@@ -289,8 +274,7 @@ def rational_response(
     columns: the vectors compared hold one entry per column class the
     scene hits.  Compare-only games use pairwise :func:`dominates` checks.
     """
-    if scene.owner != a:
-        raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
+    _check_scene(game, a, scene)
     space = game.strategies[a]
     if game.utility is None:
         survivors = []
@@ -360,20 +344,6 @@ def make_guess_average_game(
         target = Fraction(2 * others, 3 * (agent_count - 1))
         return -abs(target - outcome[a])
 
-    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        # Scaled by 3(agent_count - 1), a payoff is the int
-        # -|2·others - scale·own|: a function of the own strategy and the
-        # opponents' sum, so a column's class is that sum less its least.
-        scale, low = 3 * (agent_count - 1), agent_count - 1
-        sums = [0]
-        for _ in range(low):
-            sums = [t + i for t in sums for i in range(max_int)]
-        columns = [
-            tuple(-abs(2 * others - scale * own) for own in space)
-            for others in range(low, low * max_int + 1)
-        ]
-        return sums, columns
-
     def respond(a: int, scene: ReasoningScene) -> frozenset:
         # Scaled by s, own guess x pays -|2t - s·x| against opponents' sum
         # t, so x + 1 beats x on every allowed t iff 4·tmin > s(2x + 1),
@@ -389,7 +359,6 @@ def make_guess_average_game(
                     or x > 1 and tmax4 < s * (2 * x - 1))
         )
 
-    utility.classes = classes
     utility.respond = respond
     return utility_game(agents, [space] * agent_count, utility)
 
@@ -458,41 +427,6 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
             return 1
         return -1
 
-    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        # Opponent b's digit matters only where b plays a tail of one of
-        # a's sequences, a sequence of length <= k - 1 starting with b;
-        # its other strategies share the digit after the tails'.  A class
-        # is a mixed-radix number over these digits, and a sequence with
-        # a tail has +1 on the run of classes where b plays that tail.
-        opponents = [b for b in range(num) if b != a]
-        tails = {b: sorted(alternating_sequences(num, b, k - 1)) for b in opponents}
-        # Sequences start with their owner, so one map serves all opponents.
-        digit = {t: i for b in opponents for i, t in enumerate(tails[b])}
-        strides = {}
-        width = 1
-        for b in reversed(opponents):
-            strides[b] = width
-            width *= len(tails[b]) + 1
-        sums = [0]
-        for b in opponents:
-            other = len(tails[b])
-            values = [digit.get(t, other) * strides[b] for t in spaces[b]]
-            sums = [c + v for c in sums for v in values]
-        rows = []
-        for s in spaces[a]:
-            if isinstance(s, Quit):
-                rows.append([0] * width)
-            elif len(s) == 1:
-                rows.append([-1] * width)
-            else:
-                b = s[1]
-                size, stride = len(tails[b]) + 1, strides[b]
-                j = digit[s[1:]]
-                block = [-1] * (j * stride) + [1] * stride
-                block += [-1] * ((size - j - 1) * stride)
-                rows.append(block * (width // (size * stride)))
-        return sums, list(zip(*rows))
-
     # Per agent, its sequences of length >= 2 by their tails.
     by_tail = [{s[1:]: s for s in space[1:] if len(s) > 1} for space in spaces]
 
@@ -507,7 +441,6 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
             survivors.append(spaces[a][0])
         return frozenset(survivors)
 
-    utility.classes = classes
     utility.respond = respond
     return utility_game(tuple(agents), spaces, utility)
 
@@ -520,13 +453,9 @@ def make_binary_game(agents: Sequence[str]) -> Game:
     def utility(a: int, outcome: Outcome) -> int:
         return outcome[a]
 
-    def classes(a: int) -> tuple[list[int], list[tuple[int, ...]]]:
-        return [0] * 2 ** (len(agents) - 1), [(0, 1)]
-
     def respond(a: int, scene: ReasoningScene) -> frozenset:
         return frozenset({1})
 
-    utility.classes = classes
     utility.respond = respond
     return utility_game(tuple(agents), [(0, 1)] * len(agents), utility)
 

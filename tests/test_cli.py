@@ -158,7 +158,9 @@ strategies c: 0 1
 
 def test_solve_reads_a_table_file_as_its_commented_copy(paths, tmp_path, capsys):
     """The table layout is read in bulk and a commented copy line by line;
-    both give the same solve."""
+    both give the same solve.  The table file is solved on its class
+    table and the builtin guess23:3:6 by closed-form responses, and their
+    traced solves print the same on b1 and b3."""
     game = make_guess_average_game(3, 6)
     lines = [f"utility {game.agents[a]} {' '.join(map(str, o))} {game.utility(a, o)}"
              for a in range(3) for o in itertools.product(*game.strategies)]
@@ -168,16 +170,20 @@ def test_solve_reads_a_table_file_as_its_commented_copy(paths, tmp_path, capsys)
     layout = "\n".join(head + lines) + "\n"
     commented = "# guess 2/3 of the others' average\n" + layout.replace(
         "\nagents a b c\n", "\nagents a b c  # three players\n")
-    outputs = []
     for name, text in [("layout", layout), ("commented", commented)]:
-        p = tmp_path / f"{name}.game"
-        p.write_text(text)
-        assert main(["solve", paths["b1"], str(p), "--trace"]) == 0
-        outputs.append(capsys.readouterr())
+        (tmp_path / f"{name}.game").write_text(text)
     assert formats._parse_game_layout(layout) is not None
     assert formats._parse_game_layout(commented) is None
-    assert outputs[0] == outputs[1]
-    assert "agent a: {1}" in outputs[0].out
+    traced = {}
+    for graph in ("b1", "b3"):
+        outputs = []
+        for spec in ("layout.game", "commented.game", "guess23:3:6"):
+            spec = str(tmp_path / spec) if spec.endswith(".game") else spec
+            assert main(["solve", paths[graph], spec, "--trace"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        traced[graph] = outputs[0].out
+    assert "agent a: {1}" in traced["b1"]
 
 
 def test_solve_reports_a_utility_with_too_many_digits(paths, tmp_path, capsys):

@@ -23,7 +23,6 @@ from rbr.games import (
     Quit,
     ReasoningScene,
     _payoff_classes,
-    _payoff_rows,
     alternating_sequences,
 )
 
@@ -60,6 +59,36 @@ def test_guess_utilities_are_exact(guess):
 def test_scene_owner_checked(guess):
     with pytest.raises(SceneOwnerMismatch):
         rational_response(guess, 1, full_scene(guess, 0))
+
+
+@pytest.mark.parametrize("owner", [-1, 3, 5])
+def test_scene_for_no_agent_of_the_game_is_rejected(guess, owner):
+    with pytest.raises(SceneOwnerMismatch, match=f"^no agent {owner} among 3 agents$"):
+        make_scene(guess, owner, {0: [1], 1: [1], 2: [4]})
+    with pytest.raises(SceneOwnerMismatch, match=f"^no agent {owner} among 3 agents$"):
+        full_scene(guess, owner)
+    scene = ReasoningScene(owner, (frozenset({1}),) * 3)
+    with pytest.raises(SceneOwnerMismatch, match=f"^no agent {owner} among 3 agents$"):
+        rational_response(guess, owner, scene)
+    with pytest.raises(SceneOwnerMismatch, match=f"^no agent {owner} among 3 agents$"):
+        dominates(guess, owner, scene, 1, 2)
+
+
+@pytest.mark.parametrize("per_cell", [False, True], ids=["respond", "class table"])
+def test_scene_with_a_slot_per_agent_of_another_game_is_rejected(per_cell):
+    three = make_guess_average_game(3, 4)
+    two = make_guess_average_game(2, 4)
+    if per_cell:
+        three, two = _per_cell(three), _per_cell(two)
+    for game, scene, slots in [
+        (three, full_scene(two, 0), 2),
+        (two, full_scene(three, 0), 3),
+    ]:
+        message = f"^scene has {slots} opponent slots for {game.num_agents} agents$"
+        with pytest.raises(ForeignStrategy, match=message):
+            rational_response(game, 0, scene)
+        with pytest.raises(ForeignStrategy, match=message):
+            dominates(game, 0, scene, 1, 2)
 
 
 def test_singleton_space_survives():
@@ -282,12 +311,9 @@ SMALL_BUILTINS = {
 
 # gk:4 and gk:5 on four agents are over the profile cap.
 LARGER_BUILTINS = {
-    **{
-        f"gk:{k}, {n} agents": make_sequence_game("abc"[:n], k)
-        for n in (2, 3)
-        for k in (4, 5)
-    },
-    "guess23:3:100": make_guess_average_game(3, 100),
+    f"gk:{k}, {n} agents": make_sequence_game("abc"[:n], k)
+    for n in (2, 3)
+    for k in (4, 5)
 }
 
 
@@ -313,15 +339,9 @@ def _assert_scales_the_per_cell_columns(game, a, classes, class_columns):
 
 @pytest.mark.parametrize("name", {**SMALL_BUILTINS, **LARGER_BUILTINS})
 def test_builtin_rows_scale_the_per_cell_rows(name):
-    """A builtin's closed-form class table pays, in every column, what
-    the per-cell utilities pay, up to one positive scale per agent.
-    guess23:3:100 checks agent 0 alone: a million per-cell utilities take
-    seconds, and its classes are the same for every agent."""
-    game = {**SMALL_BUILTINS, **LARGER_BUILTINS}[name]
-    agents = [0] if name == "guess23:3:100" else range(game.num_agents)
-    for a in agents:
-        classes, class_columns = game.utility.classes(a)
-        _assert_scales_the_per_cell_columns(game, a, classes, class_columns)
+    """A builtin's class table pays, in every column, what its per-cell
+    utilities pay, up to one positive scale per agent."""
+    _class_counts({**SMALL_BUILTINS, **LARGER_BUILTINS}[name])
 
 
 def _class_counts(game):
@@ -330,7 +350,7 @@ def _class_counts(game):
     positive scale, and that the classes are distinct and all used."""
     counts = []
     for a in range(game.num_agents):
-        classes, columns, _ = _payoff_classes(game, a)
+        classes, columns = _payoff_classes(game, a)
         _assert_scales_the_per_cell_columns(game, a, classes, columns)
         assert sorted(set(classes)) == list(range(len(columns)))
         assert len(set(columns)) == len(columns)
@@ -352,7 +372,7 @@ def test_guess_average_classes_are_the_opponents_sums(n, top):
     ids=["guess23:3:100", "gk:5"],
 )
 def test_large_builtin_tables_merge_their_columns(make, columns, count):
-    classes, class_columns, _ = _payoff_classes(make(), 0)
+    classes, class_columns = _payoff_classes(make(), 0)
     assert (len(classes), len(class_columns)) == (columns, count)
 
 
@@ -425,57 +445,30 @@ def test_builtin_solve_calls_no_utility(b1, make):
         calls.append((a, s, s2))
         return game.compare(a, s, s2)
 
-    utility.classes = game.utility.classes
+    utility.respond = game.utility.respond
     counted = dataclasses.replace(game, utility=utility, compare=compare)
     expected = rational_solution(b1, _per_cell(game)).solution
     assert rational_solution(b1, counted).solution == expected
     assert calls == []
 
 
+# guess23:3:100's per-cell reference fills three tables of a million
+# cells, so its b1 solution is stated.
 @pytest.mark.parametrize(
-    "make",
+    "make, expected",
     [
-        lambda agents: make_sequence_game(agents, 5),
-        lambda agents: make_guess_average_game(3, 100, agents),
-    ],
-    ids=["gk:5", "guess23:3:100"],
-)
-def test_builtin_tables_never_take_the_per_cell_path(b1, make, monkeypatch):
-    game = make(b1.agents)
-    expected = rational_solution(b1, game).solution
-
-    def refuse(*args):
-        raise AssertionError(f"per-cell payoff called with {args}")
-
-    refuse.classes = game.utility.classes
-    monkeypatch.setattr(rbr.games, "_payoff_rows", refuse)
-    refusing = dataclasses.replace(game, utility=refuse)
-    assert rational_solution(b1, refusing).solution == expected
-
-
-def _kernel(game):
-    """``game`` with a utility that carries the closed-form class table
-    but no closed-form response, so that it is solved by the kernel."""
-
-    def utility(a, o):
-        return game.utility(a, o)
-
-    utility.classes = game.utility.classes
-    return dataclasses.replace(game, utility=utility)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda agents: make_guess_average_game(3, 100, agents),
-        lambda agents: make_sequence_game(agents, 5),
-        make_binary_game,
+        (lambda agents: make_guess_average_game(3, 100, agents), (frozenset({1}),) * 3),
+        (lambda agents: make_sequence_game(agents, 5), None),
+        (make_binary_game, None),
     ],
     ids=["guess23:3:100", "gk:5", "binary"],
 )
-def test_builtin_solves_build_no_class_table(b1, make, monkeypatch):
+def test_builtin_solves_build_no_class_table(b1, make, expected, monkeypatch):
+    """Builtin solves answer every scene with the closed-form response, so
+    no payoff table is built."""
     game = make(b1.agents)
-    expected = rational_solution(b1, _kernel(game)).solution
+    if expected is None:
+        expected = rational_solution(b1, _per_cell(game)).solution
 
     def refuse(*args):
         raise AssertionError(f"class table built with {args}")

@@ -412,9 +412,8 @@ def _merged_table_game():
     return parse_game("\n".join(lines) + "\n")
 
 
-# Scenes of these games are read run by run: 3-agent tables with one
-# leading opponent, 2-agent ones with none, 4-agent ones with two, and a
-# game without opponents.
+# Scenes of these games have one to three opponents, whose picks give
+# the column indices in mixed radix, and none in the 1-agent game.
 HIT_GAMES = {
     **BIG_TABLE_GAMES,
     "guess23:2:7": make_guess_average_game(2, 7),
@@ -430,9 +429,9 @@ HIT_GAMES = {
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_scene_classes_are_the_enumerated_columns_classes(name, data):
-    """The classes a scene hits, read run by run, are the classes of its
-    columns enumerated one by one, also when the last opponent has one
-    strategy in the scene."""
+    """The classes a scene hits, read through its column indices, are the
+    classes of its columns enumerated one profile at a time, also when the
+    last opponent has one strategy in the scene."""
     game = HIT_GAMES[name]
     a = data.draw(st.integers(0, game.num_agents - 1))
     opponents = {
