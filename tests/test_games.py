@@ -452,6 +452,29 @@ def test_builtin_solve_calls_no_utility(b1, make):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda agents: make_sequence_game(agents, 5),
+        lambda agents: make_guess_average_game(3, 100, agents),
+    ],
+    ids=["gk:5", "guess23:3:100"],
+)
+def test_builtin_tables_never_take_the_per_cell_path(b1, make, monkeypatch):
+    """With its per-cell utility and the table builder both refused, a
+    builtin still solves b1 as before, through ``utility.respond``."""
+    game = make(b1.agents)
+    expected = rational_solution(b1, game).solution
+
+    def refuse(*args):
+        raise AssertionError(f"per-cell payoff called with {args}")
+
+    refuse.respond = game.utility.respond
+    monkeypatch.setattr(rbr.games, "_payoff_classes", refuse)
+    refusing = dataclasses.replace(game, utility=refuse)
+    assert rational_solution(b1, refusing).solution == expected
+
+
 # guess23:3:100's per-cell reference fills three tables of a million
 # cells, so its b1 solution is stated.
 @pytest.mark.parametrize(
