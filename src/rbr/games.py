@@ -40,12 +40,11 @@ class Game:
     utility-defined; it must agree with ``compare`` and return exact
     rationals (``int`` or ``Fraction``).
 
-    A utility may carry ``utility.respond(a, scene)``, the exact set
-    of agent ``a``'s undominated strategies in a scene that
-    :func:`rational_response` has already checked (owner, cell cap, one
-    opponent set per agent, each inside its space).
-    :func:`rational_response` then returns it and builds no class table;
-    the builtin games give one in closed form.  It belongs to the
+    A utility may carry ``utility.respond(a, scene)``, the exact set of
+    agent ``a``'s undominated strategies in a scene that has passed the
+    scene check (:func:`_scene_picks`) and the cell cap;
+    :func:`rational_response` then returns it and builds no class table.
+    The builtin games give one in closed form.  It belongs to the
     utility, so ``dataclasses.replace(game, utility=...)`` drops it.
     """
 
@@ -109,56 +108,33 @@ def full_scene(game: Game, a: int) -> ReasoningScene:
 
 
 def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
-    """Validate and freeze a reasoning scene for ``owner``."""
-    if owner not in range(game.num_agents):
-        raise SceneOwnerMismatch(f"no agent {owner} among {game.num_agents} agents")
-    opponents = []
+    """Freeze ``owner``'s reasoning scene, ``opponent_sets[b]`` for each
+    other agent ``b``, and run the one scene check (:func:`_scene_picks`)
+    on it.  A missing set, or one that is not a collection of strategies,
+    raises ForeignStrategy naming its agent."""
+    opponents = [frozenset()] * game.num_agents
     for b in range(game.num_agents):
         if b == owner:
-            opponents.append(frozenset())
             continue
         try:
-            entries = opponent_sets[b]
+            opponents[b] = frozenset(opponent_sets[b])
         except (KeyError, IndexError):
             raise ForeignStrategy(f"no opponent set for agent {b}") from None
-        try:
-            entries = frozenset(entries)
         except TypeError:
             raise ForeignStrategy(
                 f"opponent set for agent {b} is not a collection of strategies"
             ) from None
-        if not entries:
-            raise ForeignStrategy(f"empty opponent set for agent {b}")
-        if not entries <= set(game.strategies[b]):
-            raise ForeignStrategy(f"opponent set for agent {b} leaves its space")
-        opponents.append(entries)
-    return ReasoningScene(owner=owner, opponents=tuple(opponents))
+    scene = ReasoningScene(owner=owner, opponents=tuple(opponents))
+    _scene_picks(game, owner, scene)
+    return scene
 
 
-def _scene_profiles(game: Game, scene: ReasoningScene, cap: int):
-    """Iterate opponent profiles as full outcome templates (owner slot None).
-
-    Keeps each opponent's strategies in declaration order so enumeration is
-    deterministic.
-    """
-    axes = []
-    size = 1
-    for b in range(game.num_agents):
-        if b == scene.owner:
-            axes.append((None,))
-        else:
-            picked = [s for s in game.strategies[b] if s in scene.opponents[b]]
-            axes.append(tuple(picked))
-            size *= len(picked)
-    if size > cap:
-        raise SizeCap(f"opponent-profile product has {size} entries (cap {cap})")
-    return itertools.product(*axes)
-
-
-def _check_scene(game: Game, a: int, scene: ReasoningScene) -> None:
-    """Raise SceneOwnerMismatch unless ``scene`` is agent ``a``'s and ``a``
-    is an agent of ``game``, and ForeignStrategy unless the scene has one
-    opponent slot per agent."""
+def _scene_picks(game: Game, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
+    """The one scene check.  Raises SceneOwnerMismatch unless ``scene`` is
+    agent ``a``'s and ``a`` is an agent of ``game``, and ForeignStrategy
+    unless the scene has one slot per agent and each opponent set is
+    nonempty and inside its space.  Returns, per opponent of ``a`` in
+    order, its space's size and the indices of the strategies allowed."""
     if scene.owner != a:
         raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
     if a not in range(game.num_agents):
@@ -167,6 +143,18 @@ def _check_scene(game: Game, a: int, scene: ReasoningScene) -> None:
         raise ForeignStrategy(
             f"scene has {len(scene.opponents)} opponent slots for {game.num_agents} agents"
         )
+    picks = []
+    for b, space in enumerate(game.strategies):
+        if b == a:
+            continue
+        allowed = scene.opponents[b]
+        picked = [i for i, s in enumerate(space) if s in allowed]
+        if not picked or len(picked) != len(allowed):
+            raise ForeignStrategy(
+                f"opponent set for agent {b} is empty or leaves its space"
+            )
+        picks.append((len(space), picked))
+    return picks
 
 
 def dominates(
@@ -180,20 +168,23 @@ def dominates(
     """True iff ``s_prime`` strictly beats ``s`` on every opponent profile.
 
     Equivalence and incomparability on any profile both defeat dominance.
+    Raises as the scene check (:func:`_scene_picks`) does, ForeignStrategy
+    when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap beyond ``cap``
+    opponent profiles.
     """
-    _check_scene(game, a, scene)
+    picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
         raise ForeignStrategy((s, s_prime))
-    for template in _scene_profiles(game, scene, cap):
-        outcome = list(template)
-        outcome[a] = s
-        low = tuple(outcome)
-        outcome[a] = s_prime
-        high = tuple(outcome)
-        if game.compare(a, low, high) != -1:
-            return False
-    return True
+    size = math.prod(len(picked) for _, picked in picks)
+    if size > cap:
+        raise SizeCap(f"opponent-profile product has {size} entries (cap {cap})")
+    others = game.strategies[:a] + game.strategies[a + 1:]
+    axes = [[sp[i] for i in picked] for sp, (_, picked) in zip(others, picks)]
+    return all(
+        game.compare(a, p[:a] + (s,) + p[a:], p[:a] + (s_prime,) + p[a:]) == -1
+        for p in itertools.product(*axes)
+    )
 
 
 def _check_cells(what: str, cells: int, cap: int) -> None:
@@ -232,49 +223,32 @@ def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]
     return table
 
 
-def _scene_picks(game: Game, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
-    """Per opponent of the scene's owner, in order: its space's size and
-    the indices of the strategies the scene allows.  Raises ForeignStrategy
-    when an opponent set is empty or leaves its space."""
-    picks = []
-    for b, space in enumerate(game.strategies):
-        if b == scene.owner:
-            continue
-        allowed = scene.opponents[b]
-        picked = [i for i, s in enumerate(space) if s in allowed]
-        if not picked or len(picked) != len(allowed):
-            raise ForeignStrategy(
-                f"opponent set for agent {b} is empty or leaves its space"
-            )
-        picks.append((len(space), picked))
-    return picks
-
-
-def _scene_classes(game: Game, scene: ReasoningScene) -> set[int]:
-    """Column classes of the opponent profiles ``scene`` allows: the
-    picks' column indices in mixed radix, last opponent fastest, mapped
-    through the owner's class list."""
-    picks = _scene_picks(game, scene)
-    if not game.strategies[scene.owner]:
+def _scene_classes(game: Game, a: int, picks: list) -> set[int]:
+    """Column classes of the opponent profiles ``picks`` (agent ``a``'s
+    scene, read by :func:`_scene_picks`) allows: their column indices in
+    mixed radix, last opponent fastest, mapped through the class list."""
+    if not game.strategies[a]:
         return set()
     columns = [0]
     for radix, picked in picks:
         columns = [c * radix + i for c in columns for i in picked]
-    return set(map(_payoff_classes(game, scene.owner)[0].__getitem__, columns))
+    return set(map(_payoff_classes(game, a)[0].__getitem__, columns))
 
 
 def rational_response(
     game: Game, a: int, scene: ReasoningScene, cap: int = DEFAULT_PROFILE_CAP
 ) -> frozenset:
-    """Undominated strategies of ``a`` in ``scene``; never empty.
+    """Undominated strategies of ``a`` in ``scene``; never empty when
+    ``a``'s space is not.
 
-    Utility games have at most ``cap`` payoff-table cells (else SizeCap).
-    A utility with ``respond`` answers the checked scene itself; any other
-    is solved on the agent's integer payoff table quotiented by equal
+    Raises as the scene check (:func:`_scene_picks`) does.  Utility games
+    have at most ``cap`` payoff-table cells (else SizeCap).  A utility
+    with ``respond`` answers the checked scene itself; any other is
+    solved on the agent's integer payoff table quotiented by equal
     columns: the vectors compared hold one entry per column class the
     scene hits.  Compare-only games use pairwise :func:`dominates` checks.
     """
-    _check_scene(game, a, scene)
+    picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
     if game.utility is None:
         survivors = []
@@ -288,9 +262,8 @@ def rational_response(
     _check_cells(f"payoff table of agent {a}", cells, cap)
     respond = getattr(game.utility, "respond", None)
     if respond is not None:
-        _scene_picks(game, scene)
         return respond(a, scene)
-    hit = _scene_classes(game, scene)
+    hit = _scene_classes(game, a, picks)
     vectors = list(zip(*map(_payoff_classes(game, a)[1].__getitem__, hit)))
     sums = list(map(sum, vectors))
     # A strict dominator has a larger sum over classes, and a dominated

@@ -28,9 +28,18 @@ def check_compatible(g: RbrGraph, game: Game) -> None:
         )
 
 
-def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
+def _check_cover(g: RbrGraph, game: Game, s: Solution) -> None:
+    """The one solution check: AgentMissingFromGame unless ``g`` and
+    ``game`` share their agents, InvalidSolution unless ``s`` covers ``g``."""
+    check_compatible(g, game)
     if len(s) != g.num_nodes:
         raise InvalidSolution("solution does not cover the node set")
+
+
+def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
+    """Raise as the one solution check (:func:`_check_cover`) does, and
+    InvalidSolution on an empty entry or one outside its node's space."""
+    _check_cover(g, game, s)
     for n, entry in enumerate(s):
         space = set(game.strategies[g.labels[n]])
         if not entry or not set(entry) <= space:
@@ -49,9 +58,7 @@ def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene
     for agents not believed rational.  It is the scene of ``n``'s key,
     built as the solver builds it (:func:`_key_scene`)."""
     g.check_node(n)
-    check_compatible(g, game)
-    if len(s) != g.num_nodes:
-        raise InvalidSolution("solution does not cover the node set")
+    _check_cover(g, game, s)
     spaces = [frozenset(space) for space in game.strategies]
     return _key_scene(next(successor_keys(g, g.labels, s, spaces, [n])))
 
@@ -91,8 +98,7 @@ def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
     Each scene key is answered once; ``_memo``, a memo of the same game,
     carries the answers over to later rounds.
     """
-    if len(s) != g.num_nodes:
-        raise InvalidSolution("solution does not cover the node set")
+    _check_cover(g, game, s)
     return tuple(_responses(g, game, s, _ResponseMemo(game) if _memo is None else _memo))
 
 

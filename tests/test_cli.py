@@ -332,6 +332,25 @@ def test_package_imports_only_the_standard_library():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_readme_library_example_runs():
+    """README's ```python``` block runs as written and prints its
+    per-agent sets, then the equivalence verdict."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    expected = (
+        "(frozenset({1, 2, 3, 4, 5}), frozenset({1, 2, 3, 4, 5}), "
+        "frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}))\nTrue\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
 def test_solve_trace_runs_one_fixpoint(paths, capsys, monkeypatch):
     import rbr.solve
 

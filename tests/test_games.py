@@ -163,6 +163,13 @@ def test_make_scene_without_an_opponent_set_names_the_agent():
         make_scene(game, 0, {1: [1]})
 
 
+def test_make_scene_with_an_empty_opponent_set_names_the_agent():
+    game = make_guess_average_game(3, 4)
+    with pytest.raises(ForeignStrategy,
+                       match="^opponent set for agent 2 is empty or leaves its space$"):
+        make_scene(game, 0, {1: [1], 2: []})
+
+
 @pytest.mark.parametrize("entries", [5, [[1]]], ids=["not iterable", "unhashable"])
 def test_make_scene_with_a_malformed_opponent_set_names_the_agent(entries):
     game = make_guess_average_game(3, 4)

@@ -16,6 +16,7 @@ from rbr import (
     Game,
     belief_hierarchy_bounded,
     belief_scene,
+    dominates,
     finest_partition,
     full_solution,
     graphs_equivalent,
@@ -37,7 +38,7 @@ from rbr import (
     validate_graph,
 )
 from rbr.errors import ForeignStrategy, NonTermination
-from rbr.games import ReasoningScene, _payoff_classes, _scene_classes
+from rbr.games import ReasoningScene, _payoff_classes, _scene_classes, _scene_picks
 from rbr.graph import NO_NODE, successor_keys
 from rbr.oracle import brute_force_rational_solution, brute_force_round
 import rbr.partition
@@ -443,13 +444,16 @@ def test_scene_classes_are_the_enumerated_columns_classes(name, data):
         last = max(opponents)
         opponents[last] = {data.draw(st.sampled_from(game.strategies[last]))}
     scene = make_scene(game, a, opponents)
-    assert _scene_classes(game, scene) == _classes_hit(game, scene)
+    picks = _scene_picks(game, a, scene)
+    assert _scene_classes(game, a, picks) == _classes_hit(game, scene)
 
 
 @pytest.mark.parametrize("name", [n for n, g in HIT_GAMES.items() if g.num_agents > 1])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_empty_or_foreign_opponent_sets_are_rejected(name, data):
+    """Every path that reads a scene, the compare-only ones included,
+    rejects an empty or foreign opponent set with the same message."""
     game = HIT_GAMES[name]
     a = data.draw(st.integers(0, game.num_agents - 1))
     b = data.draw(st.integers(0, game.num_agents - 1).filter(lambda b: b != a))
@@ -461,9 +465,17 @@ def test_empty_or_foreign_opponent_sets_are_rejected(name, data):
         kept = data.draw(st.sets(st.sampled_from(game.strategies[b])))
         opponents[b] = frozenset(kept | {("foreign",)})
     scene = ReasoningScene(a, tuple(opponents))
-    with pytest.raises(ForeignStrategy,
-                       match=f"^opponent set for agent {b} is empty or leaves its space$"):
-        rational_response(game, a, scene)
+    compare_only = Game(game.agents, game.strategies, game.compare)
+    s = game.strategies[a][0]
+    message = f"^opponent set for agent {b} is empty or leaves its space$"
+    for call in [
+        lambda: rational_response(game, a, scene),
+        lambda: rational_response(compare_only, a, scene),
+        lambda: dominates(game, a, scene, s, s),
+        lambda: make_scene(game, a, dict(enumerate(opponents))),
+    ]:
+        with pytest.raises(ForeignStrategy, match=message):
+            call()
 
 
 @given(data=st.data())

@@ -59,6 +59,20 @@ def test_belief_scene_needs_matching_agents(b1):
             belief_scene(b1, game, s, 0)
 
 
+@pytest.mark.parametrize("game", [
+    make_guess_average_game(2, 5),
+    make_guess_average_game(4, 5),
+    make_guess_average_game(3, 5, agents=("x", "y", "z")),
+], ids=["fewer agents", "more agents", "other names"])
+def test_solution_calls_need_matching_agents(b3, game):
+    s = full_solution(b3, make_guess_average_game(3, 5, agents=ABC))
+    for call in (lambda: rationalise(b3, game, s),
+                 lambda: iterate(b3, game, s, 1),
+                 lambda: is_stable(b3, game, s)):
+        with pytest.raises(AgentMissingFromGame):
+            call()
+
+
 def test_belief_scene_needs_a_full_solution(b1, guess):
     with pytest.raises(InvalidSolution):
         belief_scene(b1, guess, full_solution(b1, guess)[:-1], 0)
