@@ -53,17 +53,6 @@ def _integer(text: str) -> int | None:
     return None
 
 
-def _count(text: str) -> int:
-    """argparse type of a non-negative integer option; any other spelling
-    gets argparse's own ``int`` message."""
-    value = _integer(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
-
-
 def _spec_numbers(spec: str, arity: int) -> list[int]:
     """The ``arity`` integer fields after the name of a builtin game spec."""
     numbers = list(map(_integer, spec.split(":")[1:]))
@@ -163,9 +152,7 @@ def cmd_equiv(args) -> int:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     game = _resolve_game(args.game, g)
-    report = rational_solution(
-        g, game, keep_trace=args.trace, max_iterations=args.max_iterations
-    )
+    report = rational_solution(g, game, keep_trace=args.trace)
     # Nodes share entries, so each distinct (agent, entry) is formatted once.
     set_text = _set_texts(game)
     if args.trace:
@@ -241,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "guess23:<agents>:<max> | gk:<k> | binary",
     )
     p.add_argument("--trace", action="store_true", help="print per-round sets")
-    p.add_argument(
-        "--max-iterations",
-        type=_count,
-        default=None,
-        help="override the iteration safety bound (testing only)",
-    )
     p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("export-dot", help="write DOT to standard output")

@@ -25,9 +25,10 @@ Outcome = tuple
 # better, 0 equivalent, None incomparable.
 Compare = Callable[[int, Outcome, Outcome], Optional[int]]
 
-# Bound on the cells of one agent's payoff table, |S_a| * prod_{b != a} |S_b|
-# (the number of full outcome profiles); ``dominates`` applies it to the
-# opponent profiles of a scene.
+# The one work budget of this module, read at each check: the cells of one
+# agent's payoff table, |S_a| * prod_{b != a} |S_b| (the number of full
+# outcome profiles), for the builtin constructors and ``rational_response``;
+# ``dominates`` applies it to the opponent profiles of a scene.
 DEFAULT_PROFILE_CAP = 10**6
 
 
@@ -163,22 +164,23 @@ def dominates(
     scene: ReasoningScene,
     s: Strategy,
     s_prime: Strategy,
-    cap: int = DEFAULT_PROFILE_CAP,
 ) -> bool:
     """True iff ``s_prime`` strictly beats ``s`` on every opponent profile.
 
     Equivalence and incomparability on any profile both defeat dominance.
     Raises as the scene check (:func:`_scene_picks`) does, ForeignStrategy
-    when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap beyond ``cap``
-    opponent profiles.
+    when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap beyond
+    ``DEFAULT_PROFILE_CAP`` opponent profiles.
     """
     picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
         raise ForeignStrategy((s, s_prime))
     size = math.prod(len(picked) for _, picked in picks)
-    if size > cap:
-        raise SizeCap(f"opponent-profile product has {size} entries (cap {cap})")
+    if size > DEFAULT_PROFILE_CAP:
+        raise SizeCap(
+            f"opponent-profile product has {size} entries (cap {DEFAULT_PROFILE_CAP})"
+        )
     others = game.strategies[:a] + game.strategies[a + 1:]
     axes = [[sp[i] for i in picked] for sp, (_, picked) in zip(others, picks)]
     return all(
@@ -187,11 +189,11 @@ def dominates(
     )
 
 
-def _check_cells(what: str, cells: int, cap: int) -> None:
+def _check_cells(what: str, cells: int) -> None:
     """Raise SizeCap when ``what``, a payoff table of ``cells`` cells, is
-    over ``cap``."""
-    if cells > cap:
-        raise SizeCap(f"{what} has {cells} cells (cap {cap})")
+    over ``DEFAULT_PROFILE_CAP``."""
+    if cells > DEFAULT_PROFILE_CAP:
+        raise SizeCap(f"{what} has {cells} cells (cap {DEFAULT_PROFILE_CAP})")
 
 
 def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -235,18 +237,16 @@ def _scene_classes(game: Game, a: int, picks: list) -> set[int]:
     return set(map(_payoff_classes(game, a)[0].__getitem__, columns))
 
 
-def rational_response(
-    game: Game, a: int, scene: ReasoningScene, cap: int = DEFAULT_PROFILE_CAP
-) -> frozenset:
+def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
     """Undominated strategies of ``a`` in ``scene``; never empty when
     ``a``'s space is not.
 
     Raises as the scene check (:func:`_scene_picks`) does.  Utility games
-    have at most ``cap`` payoff-table cells (else SizeCap).  A utility
-    with ``respond`` answers the checked scene itself; any other is
-    solved on the agent's integer payoff table quotiented by equal
-    columns: the vectors compared hold one entry per column class the
-    scene hits.  Compare-only games use pairwise :func:`dominates` checks.
+    have at most ``DEFAULT_PROFILE_CAP`` payoff-table cells (else
+    SizeCap).  A utility with ``respond`` answers the checked scene
+    itself; any other is solved on the agent's integer payoff table
+    quotiented by equal columns: the vectors compared hold one entry per
+    column class the scene hits.  Compare-only games use pairwise :func:`dominates` checks.
     """
     picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
@@ -254,12 +254,12 @@ def rational_response(
         survivors = []
         for s in space:
             if not any(
-                s2 is not s and dominates(game, a, scene, s, s2, cap) for s2 in space
+                s2 is not s and dominates(game, a, scene, s, s2) for s2 in space
             ):
                 survivors.append(s)
         return frozenset(survivors)
     cells = math.prod(len(sp) for sp in game.strategies)
-    _check_cells(f"payoff table of agent {a}", cells, cap)
+    _check_cells(f"payoff table of agent {a}", cells)
     respond = getattr(game.utility, "respond", None)
     if respond is not None:
         return respond(a, scene)
@@ -305,11 +305,7 @@ def make_guess_average_game(
         agents = _agent_names(agent_count)
     elif len(agents) != agent_count:
         raise TooFewAgents("agent name list does not match the agent count")
-    _check_cells(
-        f"guess23:{agent_count}:{max_int} payoff table",
-        max_int**agent_count,
-        DEFAULT_PROFILE_CAP,
-    )
+    _check_cells(f"guess23:{agent_count}:{max_int} payoff table", max_int**agent_count)
     space = tuple(range(1, max_int + 1))
 
     def utility(a: int, outcome: Outcome) -> Fraction:
@@ -382,9 +378,7 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     # k stops at the first one over the cap, before any space is built.
     for length, size in zip(range(1, k + 1), _sequence_space_sizes(num)):
         _check_cells(
-            f"gk:{k} payoff table over sequences up to length {length}",
-            size**num,
-            DEFAULT_PROFILE_CAP,
+            f"gk:{k} payoff table over sequences up to length {length}", size**num
         )
     spaces = []
     for a in range(num):

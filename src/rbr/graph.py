@@ -28,6 +28,8 @@ from .errors import (
 
 NO_NODE = -1
 
+# Bound on the sequences one level of path sequences holds over all nodes,
+# and on the sequences of one bounded hierarchy; read at each check.
 DEFAULT_SEQUENCE_CAP = 10**6
 
 
@@ -246,45 +248,54 @@ def believed_rational(g: RbrGraph, n: int) -> frozenset[int]:
     return frozenset(a for a, m in enumerate(g.succ[n]) if m != NO_NODE)
 
 
-def path_sequences(
-    g: RbrGraph, n: int, i: int, cap: int = DEFAULT_SEQUENCE_CAP
-) -> frozenset[tuple[int, ...]]:
-    """Label sequences of all length-``i`` paths starting at node ``n``.
+def _levels(g: RbrGraph) -> Iterator[list[frozenset[tuple[int, ...]]]]:
+    """Per node, the label sequences of its length-i paths, for i = 1, 2,
+    ... in turn; stops before the first level where every set is empty,
+    as all later ones are.
 
-    Computed level by level with per-node memoisation and set
-    deduplication.  ``cap`` bounds the total number of sequences held at
-    any level; exceeding it raises :class:`SizeCap`.
+    Each level is built from the one before, with set deduplication.
+    Raises :class:`SizeCap` when one level holds more than
+    ``DEFAULT_SEQUENCE_CAP`` sequences over all nodes.
     """
-    g.check_node(n)
-    if i < 1:
-        raise ZeroLength(f"path length must be positive, got {i}")
-    level: dict[int, frozenset[tuple[int, ...]]] = {
-        m: frozenset({(g.labels[m],)}) for m in g.nodes()
-    }
-    for _ in range(i - 1):
-        nxt: dict[int, frozenset[tuple[int, ...]]] = {}
-        total = 0
-        for m in g.nodes():
+    cap = DEFAULT_SEQUENCE_CAP
+    level = [frozenset({(label,)}) for label in g.labels]
+    while any(level):
+        yield level
+        total, nxt = 0, []
+        for label, row in zip(g.labels, g.succ):
             seqs = set()
-            for m2 in g.succ[m]:
-                if m2 != NO_NODE:
-                    seqs.update((g.labels[m],) + s for s in level[m2])
-            nxt[m] = frozenset(seqs)
+            for m in row:
+                if m != NO_NODE:
+                    seqs.update((label,) + s for s in level[m])
+            nxt.append(frozenset(seqs))
             total += len(seqs)
             if total > cap:
                 raise SizeCap(f"more than {cap} sequences at one level")
         level = nxt
-    return level[n]
 
 
-def belief_hierarchy_bounded(
-    g: RbrGraph, n: int, j: int, cap: int = DEFAULT_SEQUENCE_CAP
-) -> frozenset[tuple[int, ...]]:
-    """All belief sequences of length at most ``j`` starting at node ``n``."""
+def path_sequences(g: RbrGraph, n: int, i: int) -> frozenset[tuple[int, ...]]:
+    """Label sequences of all length-``i`` paths starting at node ``n``,
+    under the per-level budget of :func:`_levels`."""
+    g.check_node(n)
+    if i < 1:
+        raise ZeroLength(f"path length must be positive, got {i}")
+    for depth, level in enumerate(_levels(g), 1):
+        if depth == i:
+            return level[n]
+    return frozenset()
+
+
+def belief_hierarchy_bounded(g: RbrGraph, n: int, j: int) -> frozenset[tuple[int, ...]]:
+    """All belief sequences of length at most ``j`` starting at node
+    ``n``, from one walk of :func:`_levels`; SizeCap when they number
+    more than ``DEFAULT_SEQUENCE_CAP``."""
     g.check_node(n)
     out: set[tuple[int, ...]] = set()
-    for i in range(1, j + 1):
-        out.update(path_sequences(g, n, i, cap=cap))
-        if len(out) > cap:
-            raise SizeCap(f"more than {cap} sequences in the bounded hierarchy")
+    for _, level in zip(range(j), _levels(g)):
+        out.update(level[n])
+        if len(out) > DEFAULT_SEQUENCE_CAP:
+            raise SizeCap(
+                f"more than {DEFAULT_SEQUENCE_CAP} sequences in the bounded hierarchy"
+            )
     return frozenset(out)

@@ -154,12 +154,12 @@ def safety_bound(g: RbrGraph, game: Game) -> int:
 
 
 def rational_solution(
-    g: RbrGraph, game: Game, keep_trace: bool = False, max_iterations: int | None = None
+    g: RbrGraph, game: Game, keep_trace: bool = False
 ) -> RationalSolutionReport:
     """Iterate from the full solution until a certified fixpoint.
 
-    ``iterations`` is the first i with R^{i+1} = R^i.  Exceeding the
-    safety bound raises NonTermination, which indicates a bug rather
+    ``iterations`` is the first i with R^{i+1} = R^i.  Exceeding
+    :func:`safety_bound` raises NonTermination, which indicates a bug rather
     than a legitimate input condition.  One memo serves every round, so
     each distinct scene is answered once per solve.
 
@@ -174,7 +174,7 @@ def rational_solution(
     entry.
     """
     check_compatible(g, game)
-    bound = safety_bound(g, game) if max_iterations is None else max_iterations
+    bound = safety_bound(g, game)
     current = full_solution(g, game)
     trace = [current] if keep_trace else None
     memo = _ResponseMemo(game)

@@ -179,6 +179,18 @@ def chain(length: int) -> RbrGraph:
     return validate_graph(("a", "b"), length, labels, edges, designation)
 
 
+def cyclic_word(word, designated: int = 0) -> RbrGraph:
+    """The cycle of a binary word of even length n over 4 agents: node i
+    is labelled 2 * (i % 2) + word[i], and its only successor is node
+    i + 1 mod n.  These are the hard inputs of Hopcroft-style
+    refinement."""
+    n = len(word)
+    labels = [2 * (i % 2) + w for i, w in enumerate(word)]
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return validate_graph(("a", "b", "c", "d"), n, labels, edges,
+                          {labels[designated]: designated})
+
+
 def iterated_refinement(g: RbrGraph):
     """The fixpoint of iterating ``refine_once`` from the label partition,
     and the block count after each splitting round (the label partition

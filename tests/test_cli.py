@@ -218,28 +218,19 @@ def test_non_positive_sequence_spec_is_usage_error(paths, capsys):
         assert capsys.readouterr().err == "error: sequence length bound must be positive\n"
 
 
-def test_solve_honours_max_iterations(paths, capsys):
-    argv = ["solve", paths["b1"], "guess23:3:10", "--max-iterations", "0"]
+def test_solve_past_the_safety_bound_is_an_internal_error(paths, capsys, monkeypatch):
+    monkeypatch.setattr("rbr.solve.safety_bound", lambda g, game: 0)
+    argv = ["solve", paths["b1"], "guess23:3:10"]
     for extra in ([], ["--trace"]):
         assert main(argv + extra) == 3
         assert "no fixpoint within 0" in capsys.readouterr().err
 
 
-def test_negative_max_iterations_is_usage_error(paths, capsys):
+def test_iteration_bound_is_not_an_option(paths, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["solve", paths["b1"], "binary", "--max-iterations", "-1"])
+        main(["solve", paths["b1"], "binary", "--max-iterations", "0"])
     assert exc.value.code == 2
-    assert "--max-iterations: must not be negative: -1" in capsys.readouterr().err
-
-
-def test_max_iterations_takes_only_ascii_integers(paths, capsys):
-    """--max-iterations reads integers as game specs do: an optional ``-``
-    and ASCII digits."""
-    for text in ["1_0", "+4", "\uff10", " 4"]:
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", paths["b1"], "binary", "--max-iterations", text])
-        assert exc.value.code == 2
-        assert f"--max-iterations: invalid int value: {text!r}" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-iterations 0" in capsys.readouterr().err
 
 
 def test_equiv_of_different_agent_universes_is_a_stdout_verdict(paths, tmp_path, capsys):

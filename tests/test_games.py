@@ -120,11 +120,23 @@ def test_one_agent_game():
     assert rational_response(g, 0, full_scene(g, 0)) == {1, 2}
 
 
-def test_payoff_table_size_cap(guess):
+def test_payoff_table_size_cap(guess, monkeypatch):
     scene = full_scene(guess, 0)
-    assert rational_response(guess, 0, scene, cap=1000) == set(range(1, 8))
-    with pytest.raises(SizeCap):
-        rational_response(guess, 0, scene, cap=999)
+    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 1000)
+    assert rational_response(guess, 0, scene) == set(range(1, 8))
+    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 999)
+    with pytest.raises(SizeCap, match="has 1000 cells"):
+        rational_response(guess, 0, scene)
+
+
+def test_opponent_profile_size_cap(guess, monkeypatch):
+    # Agent 0's full scene allows 10 x 10 opponent profiles.
+    scene = full_scene(guess, 0)
+    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 100)
+    assert dominates(guess, 0, scene, 10, 9)
+    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 99)
+    with pytest.raises(SizeCap, match="product has 100 entries"):
+        dominates(guess, 0, scene, 10, 9)
 
 
 def test_builtin_games_are_size_checked_before_construction(monkeypatch):

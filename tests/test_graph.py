@@ -12,12 +12,14 @@ from rbr.errors import (
     DuplicateSuccessor,
     GraphValidationError,
     SelfBelief,
+    SizeCap,
     UnknownNode,
     UnreachableNode,
     ZeroLength,
 )
-from rbr.graph import successor_keys
-from .conftest import ABC
+import rbr.graph
+from rbr.graph import _levels, successor_keys
+from .conftest import ABC, chain
 
 
 def test_minimal_legal_graph():
@@ -142,3 +144,52 @@ def test_hierarchy_monotone_in_depth(corpus):
                 cur = belief_hierarchy_bounded(g, n, j)
                 assert prev <= cur
                 prev = cur
+
+
+def test_hierarchy_is_the_union_of_the_path_levels(corpus):
+    for g in corpus:
+        for n in g.nodes():
+            levels = [path_sequences(g, n, i) for i in range(1, 6)]
+            for j in range(6):
+                assert belief_hierarchy_bounded(g, n, j) == frozenset().union(
+                    *levels[:j])
+
+
+def test_level_walk_stops_once_no_path_is_that_long():
+    one_node = validate_graph(("a", "b"), 1, [0], [], {0: 0})
+    assert len(list(_levels(one_node))) == 1
+    assert len(list(_levels(chain(5)))) == 5
+    # Without the stop these would walk ten million empty levels.
+    assert path_sequences(one_node, 0, 10**7) == frozenset()
+    assert belief_hierarchy_bounded(one_node, 0, 10**7) == {(0,)}
+
+
+def test_hierarchy_walks_the_levels_once(monkeypatch):
+    # On the mutual two-node graph every level holds one sequence per
+    # node; recomputing levels 1..i for every depth i took seconds here.
+    mutual = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    calls = []
+    monkeypatch.setattr(rbr.graph, "_levels", lambda g: calls.append(g) or _levels(g))
+    h = belief_hierarchy_bounded(mutual, 0, 800)
+    assert len(h) == 800 and (0, 1) * 400 in h
+    assert len(calls) == 1
+
+
+def test_sequence_level_size_cap(b1, monkeypatch):
+    # b1's three nodes hold 3, 6 and 12 sequences at levels 1, 2 and 3.
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 12)
+    assert len(path_sequences(b1, 0, 3)) == 4
+    assert len(belief_hierarchy_bounded(b1, 0, 3)) == 7
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 11)
+    for walk in (path_sequences, belief_hierarchy_bounded):
+        with pytest.raises(SizeCap, match="more than 11 sequences at one level"):
+            walk(b1, 0, 3)
+
+
+def test_bounded_hierarchy_size_cap(b2, monkeypatch):
+    # b2's two nodes hold one sequence each per level, so only the
+    # hierarchy's own count passes a cap of 2, at depth 3.
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 2)
+    assert belief_hierarchy_bounded(b2, 0, 2) == {(0,), (0, 1)}
+    with pytest.raises(SizeCap, match="more than 2 sequences in the bounded hierarchy"):
+        belief_hierarchy_bounded(b2, 0, 3)

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from rbr import (
     check_local_isomorphism,
@@ -23,7 +24,7 @@ from rbr.graph import NO_NODE, RbrGraph
 from rbr.minimize import _quotient_graph, quotient
 import rbr.partition
 from rbr.partition import Partition, _finest_with_rounds, disjoint_union
-from .conftest import ABC, blow_up, chain, iterated_refinement
+from .conftest import ABC, blow_up, chain, cyclic_word, iterated_refinement
 from .test_properties import graphs, refinement_inputs
 
 
@@ -254,6 +255,69 @@ def test_gathered_round_2_leaves_the_state_of_a_full_worklist_round(g):
     members = list(map(set, q.blocks()))
     moved = rbr.partition._split_round(g.succ, block, sizes, members, g.nodes())
     assert rbr.partition._worklist_start(q, r) == (block, sizes, members, moved)
+
+
+def _fibonacci_word(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def test_cyclic_fibonacci_word_is_its_own_minimal_form():
+    w = _fibonacci_word(1024)
+    g = cyclic_word(w)
+    report = minimise(g)
+    assert report.output.num_nodes == 1024
+    assert report.block_map == tuple(range(1024))
+    # Its cube folds back onto it.
+    cube = cyclic_word(w * 3)
+    folded = minimise(cube).output
+    assert folded.num_nodes == 1024
+    assert graphs_equivalent(cube, g) and graphs_equivalent(folded, g)
+    assert find_isomorphism(folded, g) is not None
+    # Every node tells itself apart, so moving the designation to another
+    # node with the same label changes the graph.
+    same = [k for k in g.nodes() if k and g.labels[k] == g.labels[0]]
+    for k in (same[0], same[len(same) // 2], same[-1]):
+        assert not graphs_equivalent(cyclic_word(w, k), g)
+
+
+@st.composite
+def cyclic_words(draw):
+    pairs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=150))
+    return cyclic_word([bit for pair in pairs for bit in divmod(pair, 2)])
+
+
+@given(st.one_of(refinement_inputs(), cyclic_words()))
+@settings(max_examples=200, deadline=None)
+def test_no_node_changes_block_id_more_than_log_n_times(g):
+    """A node that changes block id in a worklist round leaves the
+    largest part of its block, so its new block is at most half the old
+    one.  Counted over round 2 (``_worklist_start``) and every
+    ``_split_round``, a node in a block of s nodes after round 1 moves at
+    most floor(log2 s) times, and so at most floor(log2 n) times."""
+    moves = Counter()
+    start, split = rbr.partition._worklist_start, rbr.partition._split_round
+
+    def counted_start(*args):
+        state = start(*args)
+        moves.update(state[3])
+        return state
+
+    def counted_split(*args):
+        moved = split(*args)
+        moves.update(moved)
+        return moved
+
+    with mock.patch.object(rbr.partition, "_worklist_start", counted_start), \
+            mock.patch.object(rbr.partition, "_split_round", counted_split):
+        p = finest_partition(g)
+    assert p == iterated_refinement(g)[0]
+    q = refine_once(g, initial_partition(g))
+    sizes = Counter(q.block_of)
+    for v, count in moves.items():
+        assert count <= sizes[q.block_of[v]].bit_length() - 1
 
 
 def test_solves_and_refinements_build_the_getters_once(corpus3):

@@ -7,6 +7,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -593,8 +594,9 @@ def test_dirty_set_solve_matches_iterated_rationalise(g, name, data):
         game = SOLVE_GAMES[name](g.agents)
     rep = rational_solution(g, game, keep_trace=True)
     if rep.iterations:
-        with pytest.raises(NonTermination):
-            rational_solution(g, game, max_iterations=rep.iterations - 1)
+        with mock.patch("rbr.solve.safety_bound", return_value=rep.iterations - 1):
+            with pytest.raises(NonTermination):
+                rational_solution(g, game)
     trace = iterated_rationalise(g, game)
     assert rep.trace == trace
     assert rep.iterations == len(trace) - 2
