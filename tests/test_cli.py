@@ -226,11 +226,25 @@ def test_solve_past_the_safety_bound_is_an_internal_error(paths, capsys, monkeyp
         assert "no fixpoint within 0" in capsys.readouterr().err
 
 
-def test_iteration_bound_is_not_an_option(paths, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", paths["b1"], "binary", "--max-iterations", "0"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-iterations 0" in capsys.readouterr().err
+def test_negative_max_iterations_is_usage_error(paths, capsys):
+    """The iteration bound is ``safety_bound``, not an option: ``--max-iterations``
+    with any count, negative or not, is an unrecognized argument."""
+    for text in ["-1", "0"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", paths["b1"], "binary", "--max-iterations", text])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --max-iterations {text}" in capsys.readouterr().err
+
+
+def test_max_iterations_takes_only_ascii_integers(paths, capsys):
+    """No spelling of a count is taken by the removed ``--max-iterations``:
+    the ones that were once rejected as malformed are still usage errors.
+    Game specs keep the ASCII-integer rule (see the malformed-spec test)."""
+    for text in ["1_0", "+4", "\uff10", " 4"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", paths["b1"], "binary", "--max-iterations", text])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --max-iterations {text}" in capsys.readouterr().err
 
 
 def test_equiv_of_different_agent_universes_is_a_stdout_verdict(paths, tmp_path, capsys):
