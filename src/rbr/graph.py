@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -28,8 +29,8 @@ from .errors import (
 
 NO_NODE = -1
 
-# Bound on the sequences one level of path sequences holds over all nodes,
-# and on the sequences of one bounded hierarchy; read at each check.
+# Bound on the sequences one level of a node's paths holds, and on the
+# sequences of one bounded hierarchy; read at each check.
 DEFAULT_SEQUENCE_CAP = 10**6
 
 
@@ -82,7 +83,7 @@ class RbrGraph:
         return self.designated[self.labels[n]] == n
 
     def check_node(self, n: int) -> None:
-        if not 0 <= n < len(self.labels):
+        if not (isinstance(n, int) and 0 <= n < len(self.labels)):
             raise UnknownNode(n)
 
     @cached_property
@@ -248,30 +249,28 @@ def believed_rational(g: RbrGraph, n: int) -> frozenset[int]:
     return frozenset(a for a, m in enumerate(g.succ[n]) if m != NO_NODE)
 
 
-def _levels(g: RbrGraph) -> Iterator[list[frozenset[tuple[int, ...]]]]:
-    """Per node, the label sequences of its length-i paths, for i = 1, 2,
-    ... in turn; stops before the first level where every set is empty,
+def _levels(g: RbrGraph, n: int) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """The length-i paths from node ``n``, as (label sequence, last node)
+    pairs, for i = 1, 2, ... in turn; stops before the first empty level,
     as all later ones are.
 
-    Each level is built from the one before, with set deduplication.
-    Raises :class:`SizeCap` when one level holds more than
-    ``DEFAULT_SEQUENCE_CAP`` sequences over all nodes.
+    A node has at most one successor per agent, and that successor
+    carries the agent's label, so a label sequence fixes its path and the
+    sequences of one level are distinct without deduplication.  Raises
+    :class:`SizeCap` when one level holds more than
+    ``DEFAULT_SEQUENCE_CAP`` sequences.
     """
     cap = DEFAULT_SEQUENCE_CAP
-    level = [frozenset({(label,)}) for label in g.labels]
-    while any(level):
+    labels, succ = g.labels, g.succ
+    level = [((labels[n],), n)]
+    while level:
         yield level
-        total, nxt = 0, []
-        for label, row in zip(g.labels, g.succ):
-            seqs = set()
-            for m in row:
-                if m != NO_NODE:
-                    seqs.update((label,) + s for s in level[m])
-            nxt.append(frozenset(seqs))
-            total += len(seqs)
-            if total > cap:
-                raise SizeCap(f"more than {cap} sequences at one level")
-        level = nxt
+        paths = (
+            (seq + (labels[m],), m) for seq, last in level for m in succ[last] if m != NO_NODE
+        )
+        level = list(islice(paths, cap + 1))
+        if len(level) > cap:
+            raise SizeCap(f"more than {cap} sequences at one level")
 
 
 def path_sequences(g: RbrGraph, n: int, i: int) -> frozenset[tuple[int, ...]]:
@@ -280,9 +279,9 @@ def path_sequences(g: RbrGraph, n: int, i: int) -> frozenset[tuple[int, ...]]:
     g.check_node(n)
     if i < 1:
         raise ZeroLength(f"path length must be positive, got {i}")
-    for depth, level in enumerate(_levels(g), 1):
+    for depth, level in zip(range(1, i + 1), _levels(g, n)):
         if depth == i:
-            return level[n]
+            return frozenset(seq for seq, _ in level)
     return frozenset()
 
 
@@ -291,11 +290,11 @@ def belief_hierarchy_bounded(g: RbrGraph, n: int, j: int) -> frozenset[tuple[int
     ``n``, from one walk of :func:`_levels`; SizeCap when they number
     more than ``DEFAULT_SEQUENCE_CAP``."""
     g.check_node(n)
-    out: set[tuple[int, ...]] = set()
-    for _, level in zip(range(j), _levels(g)):
-        out.update(level[n])
+    out: list[tuple[tuple[int, ...], int]] = []
+    for _, level in zip(range(j), _levels(g, n)):
+        out += level
         if len(out) > DEFAULT_SEQUENCE_CAP:
             raise SizeCap(
                 f"more than {DEFAULT_SEQUENCE_CAP} sequences in the bounded hierarchy"
             )
-    return frozenset(out)
+    return frozenset(seq for seq, _ in out)

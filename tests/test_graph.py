@@ -4,6 +4,7 @@ from rbr import (
     adjacency,
     belief_hierarchy_bounded,
     believed_rational,
+    nodes_doxastically_equivalent,
     path_sequences,
     validate_graph,
 )
@@ -100,6 +101,22 @@ def test_adjacency(b1, b3):
         adjacency(b1, 7)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, None, "0", -1, 3])
+def test_only_a_node_id_of_the_graph_is_a_node(b1, bad):
+    # b1 has nodes 0, 1 and 2; 0.5 lies between them, and 1.0 equals one
+    # but cannot index the graph's tuples.
+    for call in (
+        lambda: path_sequences(b1, bad, 1),
+        lambda: belief_hierarchy_bounded(b1, bad, 1),
+        lambda: adjacency(b1, bad),
+        lambda: believed_rational(b1, bad),
+        lambda: nodes_doxastically_equivalent(b1, bad, b1, 0),
+        lambda: nodes_doxastically_equivalent(b1, 0, b1, bad),
+    ):
+        with pytest.raises(UnknownNode):
+            call()
+
+
 def test_believed_rational(b1, b2):
     assert believed_rational(b1, 0) == {1, 2}
     assert believed_rational(b2, 0) == {1}
@@ -157,38 +174,71 @@ def test_hierarchy_is_the_union_of_the_path_levels(corpus):
 
 def test_level_walk_stops_once_no_path_is_that_long():
     one_node = validate_graph(("a", "b"), 1, [0], [], {0: 0})
-    assert len(list(_levels(one_node))) == 1
-    assert len(list(_levels(chain(5)))) == 5
+    assert len(list(_levels(one_node, 0))) == 1
+    assert len(list(_levels(chain(5), 0))) == 5
     # Without the stop these would walk ten million empty levels.
     assert path_sequences(one_node, 0, 10**7) == frozenset()
     assert belief_hierarchy_bounded(one_node, 0, 10**7) == {(0,)}
 
 
 def test_hierarchy_walks_the_levels_once(monkeypatch):
-    # On the mutual two-node graph every level holds one sequence per
-    # node; recomputing levels 1..i for every depth i took seconds here.
+    # On the mutual two-node graph every level holds one sequence;
+    # recomputing levels 1..i for every depth i took seconds here.
     mutual = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
     calls = []
-    monkeypatch.setattr(rbr.graph, "_levels", lambda g: calls.append(g) or _levels(g))
+    monkeypatch.setattr(
+        rbr.graph, "_levels", lambda g, n: calls.append(g) or _levels(g, n)
+    )
     h = belief_hierarchy_bounded(mutual, 0, 800)
     assert len(h) == 800 and (0, 1) * 400 in h
     assert len(calls) == 1
 
 
 def test_sequence_level_size_cap(b1, monkeypatch):
-    # b1's three nodes hold 3, 6 and 12 sequences at levels 1, 2 and 3.
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 12)
+    # b1's node 0 holds 1, 2 and 4 sequences at levels 1, 2 and 3.
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 4)
     assert len(path_sequences(b1, 0, 3)) == 4
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 7)
     assert len(belief_hierarchy_bounded(b1, 0, 3)) == 7
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 11)
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 3)
     for walk in (path_sequences, belief_hierarchy_bounded):
-        with pytest.raises(SizeCap, match="more than 11 sequences at one level"):
+        with pytest.raises(SizeCap, match="more than 3 sequences at one level"):
             walk(b1, 0, 3)
 
 
+def test_level_cap_counts_only_the_nodes_own_paths(monkeypatch):
+    # b1's triangle beside a separate a<->b pair (nodes 3, 4).  The
+    # triangle holds 3 * 2**(i - 1) sequences at level i, past 100 at
+    # level 7, and node 0 alone past 100 at level 8; node 3 holds one
+    # per level.
+    g = validate_graph(
+        ABC, 5, [0, 1, 2, 0, 1],
+        [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (3, 4), (4, 3)],
+        {0: 3, 1: 4, 2: 2},
+    )
+    assert len(belief_hierarchy_bounded(g, 3, 25)) == 25
+    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 100)
+    h = belief_hierarchy_bounded(g, 3, 10)
+    assert len(h) == 10 and (0, 1) * 5 in h
+    assert path_sequences(g, 3, 10) == {(0, 1) * 5}
+    with pytest.raises(SizeCap, match="more than 100 sequences at one level"):
+        path_sequences(g, 0, 10)
+
+
+def test_non_integer_path_length_is_a_type_error():
+    # A cyclic graph never runs out of levels, so only the int range
+    # ends the walk.
+    mutual = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    for bad in (2.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError):
+            path_sequences(mutual, 0, bad)
+        with pytest.raises(TypeError):
+            belief_hierarchy_bounded(mutual, 0, bad)
+
+
 def test_bounded_hierarchy_size_cap(b2, monkeypatch):
-    # b2's two nodes hold one sequence each per level, so only the
-    # hierarchy's own count passes a cap of 2, at depth 3.
+    # b2's node 0 holds one sequence per level, so only the hierarchy's
+    # own count passes a cap of 2, at depth 3.
     monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 2)
     assert belief_hierarchy_bounded(b2, 0, 2) == {(0,), (0, 1)}
     with pytest.raises(SizeCap, match="more than 2 sequences in the bounded hierarchy"):

@@ -31,6 +31,7 @@ from rbr import (
     make_sequence_game,
     minimise,
     parse_game,
+    path_sequences,
     rational_response,
     rational_solution,
     rationalise,
@@ -41,7 +42,12 @@ from rbr import (
 from rbr.errors import ForeignStrategy, NonTermination
 from rbr.games import ReasoningScene, _payoff_classes, _scene_classes, _scene_picks
 from rbr.graph import NO_NODE, successor_keys
-from rbr.oracle import brute_force_rational_solution, brute_force_round
+from rbr.partition import disjoint_union
+from rbr.oracle import (
+    brute_force_hierarchy,
+    brute_force_rational_solution,
+    brute_force_round,
+)
 import rbr.partition
 import rbr.solve
 from rbr.solve import safety_bound
@@ -161,6 +167,27 @@ def test_finest_blocks_are_hierarchy_classes(g):
                 g, m, depth
             )
             assert p.same_block(n, m) == same
+
+
+@given(
+    g=graphs(), other=graphs(), copies=st.integers(1, 3),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_hierarchy_walk_matches_oracle_at_every_node(g, other, copies, rng):
+    """At every node, reachable or not, the bounded hierarchy and the
+    path sequences agree with the oracle's DFS; blow-ups leave copies
+    unreachable and unions drop the designation."""
+    blown, _ = blow_up(rng, g, copies)
+    for h in (g, blown, disjoint_union(g, other), disjoint_union(blown, other)):
+        for n in h.nodes():
+            for depth in range(7):
+                expect = brute_force_hierarchy(h, n, depth)
+                assert belief_hierarchy_bounded(h, n, depth) == expect
+                if depth:
+                    assert path_sequences(h, n, depth) == {
+                        seq for seq in expect if len(seq) == depth
+                    }
 
 
 @given(graphs())
