@@ -64,7 +64,8 @@ def _spec_numbers(spec: str, arity: int) -> list[int]:
 
 
 def _resolve_game(spec: str, g: RbrGraph) -> Game:
-    """A builtin game spec string, or a path to a game document."""
+    """A builtin game spec string, or a path to a game document; the
+    library checks the game's agents against the graph's."""
     if spec == "binary":
         return make_binary_game(g.agents)
     if spec.startswith("gk:"):
@@ -72,17 +73,8 @@ def _resolve_game(spec: str, g: RbrGraph) -> Game:
         return make_sequence_game(g.agents, k)
     if spec.startswith("guess23:"):
         count, max_int = _spec_numbers(spec, 2)
-        if count != g.num_agents:
-            raise RbrError(
-                f"guess23 wants {count} agents but the graph has {g.num_agents}"
-            )
         return make_guess_average_game(count, max_int, agents=g.agents)
-    game = parse_game(_read_text(spec))
-    if game.agents != g.agents:
-        raise RbrError(
-            f"game agents {game.agents} differ from graph agents {g.agents}"
-        )
-    return game
+    return parse_game(_read_text(spec))
 
 
 def _set_texts(game: Game):

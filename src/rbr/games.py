@@ -304,7 +304,9 @@ def make_guess_average_game(
     if agents is None:
         agents = _agent_names(agent_count)
     elif len(agents) != agent_count:
-        raise TooFewAgents("agent name list does not match the agent count")
+        raise TooFewAgents(
+            f"guess-average for {agent_count} agents got {len(agents)} agent names"
+        )
     _check_cells(f"guess23:{agent_count}:{max_int} payoff table", max_int**agent_count)
     space = tuple(range(1, max_int + 1))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -135,38 +135,53 @@ def validate_graph(
     if len(set(agents)) != len(agents) or any(not a for a in agents):
         raise EmptyAgentUniverse("agent display names must be unique and non-empty")
     num_agents = len(agents)
+    if not isinstance(num_nodes, int):
+        raise GraphValidationError(f"node count {num_nodes!r} is not an int")
     if len(labels) != num_nodes:
         raise GraphValidationError(f"{len(labels)} labels for {num_nodes} nodes")
     if node_names and len(node_names) != num_nodes:
         raise GraphValidationError(
             f"{len(node_names)} node names for {num_nodes} nodes"
         )
-    for n, a in enumerate(labels):
-        if not 0 <= a < num_agents:
-            raise GraphValidationError(f"node {n} has unknown agent label {a}")
+    # Two passes in C; the set test alone would let 1.0 (== 1) through.
+    if not (
+        all(map(isinstance, labels, repeat(int)))
+        and set(labels) <= set(range(num_agents))
+    ):
+        for n, a in enumerate(labels):
+            if not (isinstance(a, int) and 0 <= a < num_agents):
+                raise GraphValidationError(f"node {n} has unknown agent label {a!r}")
 
     # One flat row-major table, cut into row tuples once every edge is
     # in, so that no list per node is built.
     flat = [NO_NODE] * (num_nodes * num_agents)
-    for n, m in edges:
-        if not (0 <= n < num_nodes and 0 <= m < num_nodes):
-            raise DanglingEdge((n, m))
-        a = labels[m]
-        if labels[n] == a:
-            raise SelfBelief(n)
-        i = n * num_agents + a
-        old = flat[i]
-        if old != NO_NODE and old != m:
-            raise DuplicateSuccessor(n, a)
-        flat[i] = m
+    n = m = 0
+    try:
+        for n, m in edges:
+            if not (0 <= n < num_nodes and 0 <= m < num_nodes):
+                raise DanglingEdge((n, m))
+            a = labels[m]
+            if labels[n] == a:
+                raise SelfBelief(n)
+            i = n * num_agents + a
+            old = flat[i]
+            if old != NO_NODE and old != m:
+                raise DuplicateSuccessor(n, a)
+            flat[i] = m
+    except TypeError:
+        # An id that is not an int cannot index the labels; any other
+        # TypeError, such as an edge that is not a pair, passes through.
+        if isinstance(n, int) and isinstance(m, int):
+            raise
+        raise DanglingEdge((n, m)) from None
     succ = tuple(zip(*[iter(flat)] * num_agents))
 
     designated = [NO_NODE] * num_agents
     for a, n in designation.items():
-        if not 0 <= a < num_agents:
-            raise GraphValidationError(f"designation names unknown agent {a}")
-        if not 0 <= n < num_nodes:
-            raise GraphValidationError(f"agent {a} designates unknown node {n}")
+        if not (isinstance(a, int) and 0 <= a < num_agents):
+            raise GraphValidationError(f"designation names unknown agent {a!r}")
+        if not (isinstance(n, int) and 0 <= n < num_nodes):
+            raise GraphValidationError(f"agent {a} designates unknown node {n!r}")
         if labels[n] != a:
             raise DesignationMismatch(a, n)
         designated[a] = n
@@ -235,6 +250,18 @@ def successor_keys(
     padded = {fill: (*values, fill) for fill in set(fills)}
     columns = [gather(padded[fill]) for gather, fill in zip(gathers, fills)]
     return zip(head, *columns)
+
+
+def relabel(image: Sequence, ids: Iterable[int], width: int = 0) -> tuple:
+    """``image[i]`` for every id ``i`` in ``ids``, with ``NO_NODE`` kept;
+    with ``width``, cut into rows of that many ids.
+
+    One ``itemgetter`` call gathers in C from the image with ``NO_NODE``
+    appended, which ``NO_NODE`` (-1) reads.  Its two trailing ``NO_NODE``
+    indices make it return a tuple even for no id or one, and are cut off.
+    """
+    flat = itemgetter(*ids, NO_NODE, NO_NODE)((*image, NO_NODE))[:-2]
+    return tuple(zip(*[iter(flat)] * width)) if width else flat
 
 
 def adjacency(g: RbrGraph, n: int) -> frozenset[int]:

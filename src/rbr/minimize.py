@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import NotFinest
-from .graph import NO_NODE, RbrGraph
+from .graph import RbrGraph, relabel
 from .graph import validate_graph  # unused here; perfbench/tracing.py patches it
 from .partition import Partition, _finest_with_rounds, refine_once
 
@@ -46,17 +46,16 @@ def quotient(g: RbrGraph, p: Partition) -> RbrGraph:
 def _quotient_graph(g: RbrGraph, p: Partition) -> RbrGraph:
     """:func:`quotient` without its stability check, built directly, as
     :func:`~rbr.partition.disjoint_union` is.  Block k's row is its
-    first member's; the rows, in one flat run, and the designations are
-    mapped through ``image``, where ``NO_NODE`` (-1) reads ``NO_NODE``.
+    first member's; the rows and the designations are relabelled
+    (:func:`~rbr.graph.relabel`) to blocks.
     """
     firsts = [members[0] for members in p.blocks()]
-    image = (*p.block_of, NO_NODE)
-    flat = map(image.__getitem__, chain.from_iterable(map(g.succ.__getitem__, firsts)))
+    rows = chain.from_iterable(map(g.succ.__getitem__, firsts))
     return RbrGraph(
         agents=g.agents,
         labels=tuple([g.labels[n] for n in firsts]),
-        succ=tuple(zip(*[flat] * g.num_agents)),
-        designated=tuple(map(image.__getitem__, g.designated)),
+        succ=relabel(p.block_of, rows, g.num_agents),
+        designated=relabel(p.block_of, g.designated),
         node_names=tuple([g.node_names[n] for n in firsts]),
     )
 

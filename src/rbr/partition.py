@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, ne
+from operator import ne
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     NotCanonical,
     PartialMapping,
 )
-from .graph import NO_NODE, RbrGraph, successor_keys
+from .graph import NO_NODE, RbrGraph, relabel, successor_keys
 from .graph import validate_graph  # unused here; perfbench/tracing.py patches it
 
 
@@ -57,13 +57,18 @@ def initial_partition(g: RbrGraph) -> Partition:
 
 
 def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
-    """Reject a partition that does not cover ``g``'s nodes, or one whose
-    blocks mix labels: every node against its block's first member."""
+    """Reject a partition that does not cover ``g``'s nodes or numbers a
+    block outside 0..block_count-1, or one whose blocks mix labels: every
+    node against its block's first member."""
     if len(p.block_of) != g.num_nodes:
         raise PartialMapping(
             f"partition of {len(p.block_of)} nodes for a graph of {g.num_nodes}"
         )
     first = dict(zip(reversed(p.block_of), reversed(g.labels)))
+    stray = first.keys() - range(p.block_count)
+    if stray:
+        n, k = next((n, k) for n, k in enumerate(p.block_of) if k in stray)
+        raise PartialMapping(f"node {n} is in block {k}, outside 0..{p.block_count - 1}")
     mixed = list(map(ne, map(first.__getitem__, p.block_of), g.labels))
     if True in mixed:
         k = p.block_of[mixed.index(True)]
@@ -124,50 +129,37 @@ def _finest_with_rounds(g: RbrGraph) -> tuple[Partition, list[int], int]:
     if r.block_count == q.block_count:
         return q, counts, keyed
     counts.append(r.block_count)
-    block, sizes, members, moved = _worklist_start(q, r)
+    block, members, moved = _worklist_start(q, r)
     while True:
         dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, moved)))
         keyed += len(dirty)
-        moved = _split_round(g.succ, block, sizes, members, dirty)
+        moved = _split_round(g.succ, block, members, dirty)
         if not moved:
             return _normalise(block[:n]), counts, keyed
-        counts.append(len(sizes))
+        counts.append(len(members))
 
 
 def _worklist_start(q: Partition, r: Partition) -> tuple:
     """The worklist state after the round that refined ``q`` to ``r``
-    by keying every node: the ``block``, ``sizes`` and ``members`` of
-    :func:`_split_round`, and the nodes that changed block id.
+    by keying every node: the ``block`` and ``members`` of
+    :func:`_split_round`, and the nodes that moved.
 
-    As in a :func:`_split_round` that keyed every node, block b of ``q``
-    keeps its id for the largest of its parts in ``r``, the last of
-    them on a tie in order of first member, and the other parts take
-    fresh ids and move: blocks in id order, parts by size, ties in
-    order of first member.
+    The blocks keep ``r``'s ids.  As in a :func:`_split_round` that
+    keyed every node, the largest part of each block of ``q`` stays and
+    every other part moves; on a tie the last part in order of first
+    member stays, as the last one written per block of ``q`` when the
+    parts go by size, ties in id order.
     """
     parts = r.blocks()
-    children: list[list[int]] = [[] for _ in range(q.block_count)]
-    for j, part in enumerate(parts):
-        children[q.block_of[part[0]]].append(j)
-    kept, fresh = [], []
-    for split in children:
-        split.sort(key=lambda j: len(parts[j]))
-        kept.append(split.pop())
-        fresh += split
-    order = kept + fresh
-    new_id = [0] * len(order)
-    for k, j in enumerate(order):
-        new_id[j] = k
-    members = [set(parts[j]) for j in order]
-    moved = list(chain.from_iterable(map(parts.__getitem__, fresh)))
-    block = [*map(new_id.__getitem__, r.block_of), NO_NODE]
-    return block, list(map(len, members)), members, moved
+    by_size = sorted(range(len(parts)), key=lambda j: len(parts[j]))
+    stays = set({q.block_of[parts[j][0]]: j for j in by_size}.values())
+    moved = [v for j, part in enumerate(parts) if j not in stays for v in part]
+    return [*r.block_of, NO_NODE], list(map(set, parts)), moved
 
 
 def _split_round(
     succ: Sequence[Sequence[int]],
     block: list[int],
-    sizes: list[int],
     members: list[set[int]],
     dirty: Collection[int],
 ) -> list[int]:
@@ -175,12 +167,12 @@ def _split_round(
     nodes and return the nodes that changed block id.
 
     ``block[v]`` is node v's block id and ends with ``NO_NODE``, so a
-    missing successor reads -1; ``sizes`` and ``members`` are indexed by
-    block id.  Every key is computed before any id changes.  Nodes that
-    are not dirty keep their key, so in a block they form one group,
-    whose size is the block size minus its dirty members.  The largest
-    group keeps the block id and every other group gets a fresh one, so
-    a node changes id O(log n) times.
+    missing successor reads -1; ``members`` is indexed by block id.
+    Every key is computed before any id changes.  Nodes that are not
+    dirty keep their key, so in a block they form one group, the block's
+    members minus its dirty ones.  The largest group keeps the block id
+    and every other group gets a fresh one, so a node changes id
+    O(log n) times.
     """
     touched: dict[int, dict[tuple, list[int]]] = {}
     for v in dirty:
@@ -189,7 +181,7 @@ def _split_round(
     moved: list[int] = []
     for b, groups in touched.items():
         parts = sorted(groups.values(), key=len)
-        rest = sizes[b] - sum(map(len, parts))
+        rest = len(members[b]) - sum(map(len, parts))
         if not rest and len(parts) == 1:
             continue
         if rest < len(parts[-1]):
@@ -197,9 +189,7 @@ def _split_round(
             if rest:
                 parts.append(members[b].difference(largest, *parts))
         for part in parts:
-            fresh = len(sizes)
-            sizes.append(len(part))
-            sizes[b] -= len(part)
+            fresh = len(members)
             members.append(set(part))
             members[b].difference_update(part)
             for v in part:
@@ -214,21 +204,16 @@ def disjoint_union(ga: RbrGraph, gb: RbrGraph) -> RbrGraph:
     Designations are dropped and reachability is not enforced: the union
     exists only to compare belief hierarchies, which ignore both.  Both
     graphs are valid, so the union is built as it is, unchecked: gb's
-    successors move up by ga's node count in one gather over its
-    flattened rows, where ``NO_NODE`` (-1) reads the ``NO_NODE`` appended
-    to the shift.  The gather's two trailing ``NO_NODE`` indices make it
-    return a tuple even for a gb with no nodes or a single slot, and are
-    cut off before the rows are.
+    rows are relabelled (:func:`~rbr.graph.relabel`) up by ga's node
+    count.
     """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
-    shift = (*range(ga.num_nodes, ga.num_nodes + gb.num_nodes), NO_NODE)
-    gather = itemgetter(*chain.from_iterable(gb.succ), NO_NODE, NO_NODE)
-    flat = gather(shift)[:-2]
+    shift = range(ga.num_nodes, ga.num_nodes + gb.num_nodes)
     return RbrGraph(
         agents=ga.agents,
         labels=ga.labels + gb.labels,
-        succ=ga.succ + tuple(zip(*[iter(flat)] * gb.num_agents)),
+        succ=ga.succ + relabel(shift, chain.from_iterable(gb.succ), gb.num_agents),
         designated=(NO_NODE,) * ga.num_agents,
         node_names=ga.node_names + gb.node_names,
     )
@@ -252,15 +237,8 @@ def graphs_equivalent(ga: RbrGraph, gb: RbrGraph) -> bool:
     if ga.designation_domain() != gb.designation_domain():
         return False
     p = finest_partition(disjoint_union(ga, gb))
-    return _designated_images(ga, p.block_of) == _designated_images(
-        gb, p.block_of[ga.num_nodes :]
-    )
-
-
-def _designated_images(g: RbrGraph, image: Sequence[int]) -> list:
-    """Per agent, the image (block or partner) of its designated node, or
-    None without one."""
-    return [None if n == NO_NODE else image[n] for n in g.designated]
+    side_b = p.block_of[ga.num_nodes :]
+    return relabel(p.block_of, ga.designated) == relabel(side_b, gb.designated)
 
 
 def is_canonical(g: RbrGraph) -> bool:
@@ -272,23 +250,22 @@ def check_local_isomorphism(
     ga: RbrGraph, gb: RbrGraph, alpha: Sequence[int]
 ) -> bool:
     """Verify that ``alpha`` maps ``ga`` onto ``gb`` preserving edge
-    images, labels, and designations."""
+    images, labels, and designations.  Once labels are kept, a
+    successor's image fixes its slot, so rows are compared slot by slot.
+    """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
     if len(alpha) != ga.num_nodes or any(
-        not 0 <= m < gb.num_nodes for m in alpha
+        not (isinstance(m, int) and 0 <= m < gb.num_nodes) for m in alpha
     ):
         raise PartialMapping("mapping must cover exactly the source node set")
-    if set(alpha) != set(gb.nodes()):
-        return False
-    for n in ga.nodes():
-        if ga.labels[n] != gb.labels[alpha[n]]:
-            return False
-        image = {alpha[m] for a, m in enumerate(ga.succ[n]) if m != NO_NODE}
-        target = {m for m in gb.succ[alpha[n]] if m != NO_NODE}
-        if image != target:
-            return False
-    return _designated_images(ga, alpha) == _designated_images(gb, gb.nodes())
+    return (
+        set(alpha) == set(gb.nodes())
+        and relabel(gb.labels, alpha) == ga.labels
+        and relabel(alpha, chain.from_iterable(ga.succ), ga.num_agents)
+        == relabel(gb.succ, alpha)
+        and relabel(alpha, ga.designated) == gb.designated
+    )
 
 
 def find_isomorphism(ga: RbrGraph, gb: RbrGraph) -> tuple[int, ...] | None:
@@ -304,7 +281,7 @@ def find_isomorphism(ga: RbrGraph, gb: RbrGraph) -> tuple[int, ...] | None:
     side_a, side_b = p.block_of[: ga.num_nodes], p.block_of[ga.num_nodes :]
     if len(set(side_a)) != ga.num_nodes or len(set(side_b)) != gb.num_nodes:
         raise NotCanonical("both graphs must be canonical")
-    if _designated_images(ga, side_a) != _designated_images(gb, side_b):
+    if relabel(side_a, ga.designated) != relabel(side_b, gb.designated):
         return None
     if set(side_a) != set(side_b):
         return None

@@ -212,6 +212,19 @@ def test_bad_game_spec_is_usage_error(paths, capsys):
         assert "malformed game spec" in capsys.readouterr().err
 
 
+def test_game_of_other_agents_is_usage_error(paths, tmp_path, capsys):
+    """The library names both sides of an agent mismatch: the guess23
+    constructor both counts, the solver both agent tuples."""
+    assert main(["solve", paths["b1"], "guess23:2:10"]) == 2
+    assert capsys.readouterr().err == "error: guess-average for 2 agents got 3 agent names\n"
+    p = tmp_path / "two.game"
+    p.write_text("game normal-form\nagents a b\nstrategies a: 0\nstrategies b: 0\n"
+                 "utility a 0 0 0\nutility b 0 0 0\n")
+    assert main(["solve", paths["b1"], str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph agents ('a', 'b', 'c') differ from game agents ('a', 'b')\n")
+
+
 def test_non_positive_sequence_spec_is_usage_error(paths, capsys):
     for spec in ["gk:0", "gk:-1"]:
         assert main(["solve", paths["b1"], spec]) == 2

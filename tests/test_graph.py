@@ -9,6 +9,7 @@ from rbr import (
     validate_graph,
 )
 from rbr.errors import (
+    DanglingEdge,
     DesignationMismatch,
     DuplicateSuccessor,
     GraphValidationError,
@@ -79,6 +80,41 @@ def test_rejects_a_designation_of_an_unknown_node():
     with pytest.raises(GraphValidationError, match="^agent 0 designates unknown node 9$") as exc:
         validate_graph(("a", "b"), 2, [0, 1], [(0, 1)], {0: 9})
     assert exc.type is GraphValidationError
+
+
+@pytest.mark.parametrize("args, kind, message", [
+    ((("a", "b"), 2, [0, 1], [(0, 1)], {0: 0.5}), GraphValidationError,
+     "agent 0 designates unknown node 0.5"),
+    ((("a", "b"), 2, [0, 1], [(0, 1.0)], {0: 0}), DanglingEdge,
+     "edge (0, 1.0) mentions an unknown node"),
+    ((("a", "b"), 2, [0, 1], [(0.0, 1)], {0: 0}), DanglingEdge,
+     "edge (0.0, 1) mentions an unknown node"),
+    ((("a", "b"), 2, [0, 1], [("0", 1)], {0: 0}), DanglingEdge,
+     "edge ('0', 1) mentions an unknown node"),
+    ((("a",), 1.0, [0], [], {0: 0}), GraphValidationError,
+     "node count 1.0 is not an int"),
+    ((("a", "b"), 2, [0, 1], [(0, 1)], {0.0: 0}), GraphValidationError,
+     "designation names unknown agent 0.0"),
+    ((("a", "b"), 2, [0, 1], [(0, 1)], {"0": 0}), GraphValidationError,
+     "designation names unknown agent '0'"),
+    ((("a", "b"), 2, [0, 0.5], [], {0: 0}), GraphValidationError,
+     "node 1 has unknown agent label 0.5"),
+    ((("a", "b"), 2, [0, 1.0], [], {0: 0}), GraphValidationError,
+     "node 1 has unknown agent label 1.0"),
+])
+def test_rejects_ids_that_are_not_ints(args, kind, message):
+    with pytest.raises(GraphValidationError) as exc:
+        validate_graph(*args, require_reachable=False)
+    assert exc.type is kind
+    assert str(exc.value) == message
+
+
+def test_accepts_the_ints_that_name_a_node():
+    # bool is an int, as RbrGraph.check_node has it.
+    ints = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    bools = validate_graph(("a", "b"), True + True, [False, True],
+                           [(False, True), (True, False)], {False: False, True: True})
+    assert bools == ints
 
 
 def test_successor_keys_keep_the_head_and_fill_missing_successors():

@@ -1,5 +1,6 @@
+import dataclasses
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from unittest import mock
 
 import pytest
@@ -19,7 +20,13 @@ from rbr import (
     refine_once,
     validate_graph,
 )
-from rbr.errors import AgentUniverseMismatch, LabelMixingPartition, NotCanonical, PartialMapping
+from rbr.errors import (
+    AgentUniverseMismatch,
+    LabelMixingPartition,
+    NotCanonical,
+    NotFinest,
+    PartialMapping,
+)
 from rbr.graph import NO_NODE, RbrGraph
 from rbr.minimize import _quotient_graph, quotient
 import rbr.partition
@@ -56,6 +63,22 @@ def test_refine_discrete_partition_fixed(b3):
 def test_refine_rejects_label_mixing(b1):
     with pytest.raises(LabelMixingPartition):
         refine_once(b1, Partition(block_of=(0, 0, 1), block_count=2))
+
+
+def test_block_ids_outside_the_block_count_are_a_partial_mapping():
+    # Nodes 0:a, 1:b, 2:a, 3:c; node 0 believes in node 1, node 2 in no
+    # one, so the two a nodes split.
+    g = validate_graph(ABC, 4, [0, 1, 0, 2], [(0, 1), (1, 0), (3, 2)], {0: 0, 2: 3})
+    assert refine_once(g, Partition((0, 1, 0, 2), 3)) == Partition((0, 1, 2, 3), 4)
+    with pytest.raises(NotFinest):
+        quotient(g, Partition((0, 1, 0, 2), 3))
+    # A block count of 1 leaves blocks 1 and 2 outside the numbering; the
+    # fill id of a missing successor, 1, would collide with node 1's block.
+    for p in (Partition((0, 1, 0, 2), 1), Partition((0, -1, 0, 2), 3)):
+        with pytest.raises(PartialMapping, match="^node 1 is in block -?1, outside 0"):
+            refine_once(g, p)
+        with pytest.raises(PartialMapping, match="^node 1 is in block -?1, outside 0"):
+            quotient(g, p)
 
 
 def test_refine_and_quotient_reject_a_partition_of_the_wrong_length(b2):
@@ -134,9 +157,107 @@ def test_check_local_isomorphism(b3, b5):
     assert not check_local_isomorphism(b5, report.output, bad)
 
 
+def test_check_local_isomorphism_checks_each_clause(b3):
+    # Two undesignated nodes without successors: only the label clause
+    # rejects the swap.
+    loose = validate_graph(("a", "b"), 2, [0, 1], [], {}, require_reachable=False)
+    assert check_local_isomorphism(loose, loose, (0, 1))
+    assert not check_local_isomorphism(loose, loose, (1, 0))
+    # b3 maps onto itself by the identity, but not once a designation
+    # or a belief edge is dropped on either side.
+    assert check_local_isomorphism(b3, b3, (0, 1, 2))
+    a_node = b3.designated[0]
+    undesignated = dataclasses.replace(b3, designated=(NO_NODE, *b3.designated[1:]))
+    assert not check_local_isomorphism(b3, undesignated, (0, 1, 2))
+    assert not check_local_isomorphism(undesignated, b3, (0, 1, 2))
+    row = b3.succ[a_node]
+    a = next(x for x, m in enumerate(row) if m != NO_NODE)
+    cut = list(b3.succ)
+    cut[a_node] = (*row[:a], NO_NODE, *row[a + 1 :])
+    unbelieving = dataclasses.replace(b3, succ=tuple(cut))
+    assert not check_local_isomorphism(b3, unbelieving, (0, 1, 2))
+    assert not check_local_isomorphism(unbelieving, b3, (0, 1, 2))
+
+
+def _local_isomorphism_by_definition(ga, gb, alpha):
+    """The definition, clause by clause, on edge lists: ``alpha`` is onto
+    ``gb``'s nodes and keeps labels; per agent x, it maps the x-labelled
+    successors of every node onto the x-labelled successors of the
+    node's image; and it maps each agent's designated node onto that
+    agent's designated node in ``gb``, with the same agents designated."""
+    if set(alpha) != set(gb.nodes()):
+        return False
+    if any(ga.labels[n] != gb.labels[alpha[n]] for n in ga.nodes()):
+        return False
+    succ_a, succ_b = defaultdict(set), defaultdict(set)
+    for n, m in ga.edges():
+        succ_a[n, ga.labels[m]].add(alpha[m])
+    for n, m in gb.edges():
+        succ_b[n, gb.labels[m]].add(m)
+    if any(succ_a[n, x] != succ_b[alpha[n], x]
+           for n in ga.nodes() for x in range(ga.num_agents)):
+        return False
+    if ga.designation_domain() != gb.designation_domain():
+        return False
+    return all(alpha[ga.designated[x]] == gb.designated[x] for x in ga.designation_domain())
+
+
+@st.composite
+def local_isomorphism_cases(draw):
+    """A drawn graph or a blow-up of one, its minimal form and its block
+    map, the map or the minimal form perturbed in one of five ways."""
+    g = draw(graphs(max_nodes=8))
+    if draw(st.booleans()):
+        g, _ = blow_up(random.Random(draw(st.integers(0, 2**32))), g, draw(st.integers(2, 3)))
+    report = minimise(g)
+    out, alpha = report.output, list(report.block_map)
+    kind = draw(st.sampled_from(
+        ["block map", "swap", "same label", "other label", "extra node", "designation"]))
+    if kind == "swap":
+        # Two nodes of one label trade images: labels and surjectivity
+        # survive, so successors and designations decide.
+        pairs = [(n, m) for n in g.nodes() for m in range(n)
+                 if g.labels[n] == g.labels[m] and alpha[n] != alpha[m]]
+        if pairs:
+            n, m = draw(st.sampled_from(pairs))
+            alpha[n], alpha[m] = alpha[m], alpha[n]
+    elif kind == "same label":
+        n = draw(st.sampled_from(list(g.nodes())))
+        alpha[n] = draw(st.sampled_from([k for k in out.nodes() if out.labels[k] == g.labels[n]]))
+    elif kind == "other label":
+        # Only a node whose image shares its row, such as two nodes
+        # without successors, keeps the other clauses.
+        pairs = [(n, k) for n in g.nodes() for k in out.nodes() if out.labels[k] != g.labels[n]]
+        if pairs:
+            n, k = draw(st.sampled_from(pairs))
+            alpha[n] = k
+    elif kind == "extra node":
+        x = draw(st.integers(0, g.num_agents - 1))
+        out = dataclasses.replace(out, labels=(*out.labels, x), node_names=(),
+                                  succ=(*out.succ, (NO_NODE,) * g.num_agents))
+    elif kind == "designation":
+        x = draw(st.integers(0, g.num_agents - 1))
+        k = draw(st.sampled_from([NO_NODE] + [v for v in out.nodes() if out.labels[v] == x]))
+        designated = list(out.designated)
+        designated[x] = k
+        out = dataclasses.replace(out, designated=tuple(designated))
+    return g, out, tuple(alpha), kind
+
+
+@given(local_isomorphism_cases())
+@settings(max_examples=300, deadline=None)
+def test_check_local_isomorphism_matches_the_definition(case):
+    g, out, alpha, kind = case
+    verdict = check_local_isomorphism(g, out, alpha)
+    assert verdict == _local_isomorphism_by_definition(g, out, alpha)
+    if kind == "block map":
+        assert verdict
+
+
 def test_check_local_isomorphism_wants_total_map(b3):
-    with pytest.raises(PartialMapping):
-        check_local_isomorphism(b3, b3, (0, 1))
+    for alpha in [(0, 1), (0, 1.0, 2), (0, "1", 2), (0, None, 2), (0, 3, 2), (0, -1, 2)]:
+        with pytest.raises(PartialMapping):
+            check_local_isomorphism(b3, b3, alpha)
 
 
 def test_find_isomorphism(b3, b4, b5):
@@ -245,16 +366,22 @@ def test_round_2_split_into_equal_parts_matches_iterated_refinement(copies):
 @given(refinement_inputs())
 @settings(max_examples=200, deadline=None)
 def test_gathered_round_2_leaves_the_state_of_a_full_worklist_round(g):
-    """From round 1's partition, the gathered round 2 leaves the block
-    ids, sizes, members and moved nodes of a worklist round keying every
-    node, ties between equal parts broken alike."""
+    """From round 1's partition, the gathered round 2 leaves the state of
+    a worklist round keying every node, up to the naming of blocks: the
+    same partition, member sets and moved nodes, ties between equal parts
+    broken alike, and the ``NO_NODE`` sentinel."""
     q = refine_once(g, initial_partition(g))
     r = refine_once(g, q)
     block = [*q.block_of, NO_NODE]
-    sizes = list(map(len, q.blocks()))
     members = list(map(set, q.blocks()))
-    moved = rbr.partition._split_round(g.succ, block, sizes, members, g.nodes())
-    assert rbr.partition._worklist_start(q, r) == (block, sizes, members, moved)
+    moved = rbr.partition._split_round(g.succ, block, members, g.nodes())
+    start_block, start_members, start_moved = rbr.partition._worklist_start(q, r)
+    assert start_block[-1] == block[-1] == NO_NODE
+    assert rbr.partition._normalise(start_block[:-1]) == rbr.partition._normalise(block[:-1])
+    for ids, sets in ((start_block, start_members), (block, members)):
+        assert [set(part) for part in Partition(tuple(ids[:-1]), len(sets)).blocks()] == sets
+    assert sorted(map(sorted, start_members)) == sorted(map(sorted, members))
+    assert sorted(start_moved) == sorted(moved)
 
 
 def _fibonacci_word(n):
@@ -302,7 +429,7 @@ def test_no_node_changes_block_id_more_than_log_n_times(g):
 
     def counted_start(*args):
         state = start(*args)
-        moves.update(state[3])
+        moves.update(state[2])
         return state
 
     def counted_split(*args):
