@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,8 +328,6 @@ def _parse_game_layout(text: str) -> Game | None:
         return None
     if len(kinds) != k * math.prod(map(len, spaces)):
         return None
-    if not all(set(column) <= set(space) for column, space in zip(profiles, spaces)):
-        return None
     rationals = {}
     for value in set(values):
         if not _RATIONAL.fullmatch(value):
@@ -337,24 +336,46 @@ def _parse_game_layout(text: str) -> Game | None:
             rationals[value] = Fraction(value)
         except ValueError:  # more digits than int() converts
             return None
+    den = math.lcm(*(v.denominator for v in rationals.values()))
+    ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
+    # Flat index: owner id, then strategy positions, in mixed radix.
     agent_id = {name: a for a, name in enumerate(agents)}
     try:
-        keys = list(zip(map(agent_id.__getitem__, owners), zip(*profiles)))
+        key = list(map(agent_id.__getitem__, owners))
+        for column, space in zip(profiles, spaces):
+            pos = {token: i for i, token in enumerate(space)}
+            key = list(map(operator.add, map(operator.mul, key, itertools.repeat(len(space))),
+                           map(pos.__getitem__, column)))
     except KeyError:
         return None
-    table = dict(zip(keys, map(rationals.__getitem__, values)))
-    if len(table) != len(keys):
+    table = dict(zip(key, map(ints.__getitem__, values)))
+    if len(table) != len(key):
         return None
-    return _table_game(agents, spaces, table)
+    return _table_game(agents, spaces, list(map(table.__getitem__, range(len(key)))), den)
 
 
-def _table_game(agents, spaces, table: dict) -> Game:
-    """The utility game whose ``table`` maps (agent id, token profile) to
-    the agent's utility."""
+def _table_game(agents, spaces, flat: list[int], den: int) -> Game:
+    """The utility game whose agent ``a`` gets ``flat[a·P + p] / den`` at the
+    profile of mixed-radix index ``p`` (last agent fastest) among P.  Its
+    ``utility.rows(a)`` cuts agent ``a``'s int rows from ``flat``."""
+    positions = [{token: i for i, token in enumerate(space)} for space in spaces]
+    profiles = math.prod(map(len, spaces))
 
     def utility(a: int, outcome) -> Fraction:
-        return table[(a, tuple(outcome))]
+        if a not in range(len(spaces)) or len(outcome) != len(spaces):
+            raise KeyError((a, outcome))
+        i = a
+        for pos, token in zip(positions, outcome):
+            i = i * len(pos) + pos[token]
+        return Fraction(flat[i], den)
 
+    def rows(a: int) -> list[list[int]]:
+        # Row i is run i of each group of |S_a| runs of `after` entries.
+        after, n = math.prod(map(len, spaces[a + 1:])), len(spaces[a])
+        runs = list(zip(*[iter(flat[a * profiles:(a + 1) * profiles])] * after))
+        return [list(itertools.chain(*runs[i::n])) for i in range(n)]
+
+    utility.rows = rows
     return utility_game(agents, spaces, utility)
 
 
@@ -368,7 +389,7 @@ def _parse_game_lines(text: str) -> Game:
     agents: tuple[str, ...] | None = None
     agent_id: dict[str, int] = {}
     spaces: dict[int, tuple[str, ...]] = {}
-    table: dict[tuple[int, tuple[str, ...]], Fraction] = {}
+    table: dict[tuple[int, tuple[str, ...]], str] = {}  # utility texts
     line_of: dict[tuple[int, tuple[str, ...]], int] = {}  # table key -> its line
     # Utility texts repeat across a table, so each distinct one is checked
     # and converted once.
@@ -411,12 +432,11 @@ def _parse_game_lines(text: str) -> Game:
             name, profile, value = args[0], tuple(args[1 : 1 + len(agents)]), args[-1]
             if name not in agent_id:
                 raise UnknownIdentifier(lineno, f"unknown agent {name}")
-            val = rationals.get(value)
-            if val is None:
+            if value not in rationals:
                 if not _RATIONAL.fullmatch(value):
                     raise GraphSyntaxError(lineno, f"bad rational {value}")
                 try:
-                    val = rationals[value] = Fraction(value)
+                    rationals[value] = Fraction(value)
                 except ValueError:  # more digits than int() converts
                     raise GraphSyntaxError(
                         lineno, f"rational of {len(value)} characters has too many digits"
@@ -424,7 +444,7 @@ def _parse_game_lines(text: str) -> Game:
             key = (agent_id[name], profile)
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")
-            table[key] = val
+            table[key] = value
             line_of[key] = lineno
         else:
             raise GraphSyntaxError(lineno, f"unknown directive {kind}")
@@ -435,15 +455,20 @@ def _parse_game_lines(text: str) -> Game:
         if a not in spaces:
             raise MissingUtilityEntry(1, f"no strategies declared for {name}")
 
+    ordered = [spaces[b] for b in range(len(agents))]
+    texts = []  # in the flat table's order
     for a, name in enumerate(agents):
-        for profile in itertools.product(*(spaces[b] for b in range(len(agents)))):
+        for profile in itertools.product(*ordered):
             if (a, profile) not in table:
                 raise MissingUtilityEntry(
                     1, f"no utility for {name} at outcome {' '.join(profile)}"
                 )
+            texts.append(table[a, profile])
     for (_, profile), lineno in line_of.items():
         for b, tok in enumerate(profile):
             if tok not in spaces[b]:
                 raise UnknownIdentifier(lineno, f"unknown strategy token {tok}")
 
-    return _table_game(agents, [spaces[a] for a in range(len(agents))], table)
+    den = math.lcm(*(v.denominator for v in rationals.values()))
+    ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
+    return _table_game(agents, ordered, list(map(ints.__getitem__, texts)), den)

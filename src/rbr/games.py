@@ -45,8 +45,9 @@ class Game:
     agent ``a``'s undominated strategies in a scene that has passed the
     scene check (:func:`_scene_picks`) and the cell cap;
     :func:`rational_response` then returns it and builds no class table.
-    The builtin games give one in closed form.  It belongs to the
-    utility, so ``dataclasses.replace(game, utility=...)`` drops it.
+    The builtin games give one in closed form.  Table games carry
+    ``utility.rows(a)``, :func:`_payoff_classes`' int rows.  Both belong to
+    the utility, so ``dataclasses.replace(game, utility=...)`` drops them.
     """
 
     agents: tuple[str, ...]
@@ -202,23 +203,24 @@ def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]
     class's column, one payoff per own strategy, classes numbered by
     first appearance.
 
-    The table is filled one ``utility`` call per cell.  Column ``j`` is
-    the opponent profile whose mixed-radix digits (opponents in
-    declaration order, last one fastest) are its strategy indices, and
-    every utility is scaled by the agent's common denominator, which
-    keeps the order exact.  Opponent profiles with equal columns pay
-    every strategy of ``a`` alike, so no dominance test can tell them
-    apart.
+    The table is ``utility.rows(a)`` if the utility has it, else one
+    ``utility`` call per cell.  Column ``j`` is the opponent profile whose
+    mixed-radix digits (opponents in declaration order, last one fastest)
+    are its strategy indices, and every utility is scaled by one positive
+    constant, which keeps the order exact.  Opponent profiles with equal
+    columns pay every strategy of ``a`` alike, so no dominance test can
+    tell them apart.
     """
     table = game._classes.get(a)
     if table is None:
-        axes = list(game.strategies)
-        utilities = []
-        for s in game.strategies[a]:
-            axes[a] = (s,)
-            utilities.append([game.utility(a, o) for o in itertools.product(*axes)])
-        den = math.lcm(*(u.denominator for row in utilities for u in row))
-        rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
+        if hasattr(game.utility, "rows"):
+            rows = game.utility.rows(a)
+        else:
+            before, after = game.strategies[:a], game.strategies[a + 1:]
+            utilities = [[game.utility(a, o) for o in itertools.product(*before, (s,), *after)]
+                         for s in game.strategies[a]]
+            den = math.lcm(*(u.denominator for row in utilities for u in row))
+            rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
         index: dict = {}
         classes = [index.setdefault(c, len(index)) for c in zip(*rows)]
         table = game._classes[a] = (classes, list(index))

@@ -155,9 +155,10 @@ def validate_graph(
     # One flat row-major table, cut into row tuples once every edge is
     # in, so that no list per node is built.
     flat = [NO_NODE] * (num_nodes * num_agents)
-    n = m = 0
+    edge = (0, 0)  # an error before the first edge passes through
     try:
-        for n, m in edges:
+        for edge in edges:
+            n, m = edge
             if not (0 <= n < num_nodes and 0 <= m < num_nodes):
                 raise DanglingEdge((n, m))
             a = labels[m]
@@ -168,9 +169,12 @@ def validate_graph(
             if old != NO_NODE and old != m:
                 raise DuplicateSuccessor(n, a)
             flat[i] = m
-    except TypeError:
-        # An id that is not an int cannot index the labels; any other
-        # TypeError, such as an edge that is not a pair, passes through.
+    except (TypeError, ValueError):
+        # A non-pair fails to unpack, a non-int id to index; others pass.
+        try:
+            n, m = edge
+        except (TypeError, ValueError):
+            raise GraphValidationError(f"edge {edge!r} is not a pair of node ids") from None
         if isinstance(n, int) and isinstance(m, int):
             raise
         raise DanglingEdge((n, m)) from None
@@ -197,9 +201,8 @@ def validate_graph(
                 if m != NO_NODE and not seen[m]:
                     seen[m] = True
                     stack.append(m)
-        for n, ok in enumerate(seen):
-            if not ok:
-                raise UnreachableNode(n)
+        if not all(seen):
+            raise UnreachableNode(seen.index(False))
 
     names = tuple(node_names) if node_names else ()
     return RbrGraph(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from rbr import (
     export_dot,
     full_scene,
+    make_scene,
     parse_game,
     parse_rbr,
     rational_response,
@@ -27,8 +29,9 @@ from rbr.errors import (
     UnknownIdentifier,
 )
 from rbr import formats
+from rbr.games import _payoff_classes
 from .conftest import chain
-from .test_properties import graphs
+from .test_properties import _merged_table_game, graphs
 
 B1_DOC = """\
 # complete three-agent graph
@@ -405,17 +408,19 @@ def test_parse_game_reads_signed_fractions_and_decimals():
 
 
 @st.composite
-def layout_game_documents(draw):
+def layout_game_documents(draw, value=None):
     """A game document in the plain table layout: one to three agents with
     one to four strategy tokens each, int, fraction and decimal
-    utilities, and the utility lines in a drawn order."""
+    utilities (or ``value``'s texts), and the utility lines in a drawn
+    order."""
     agents = ["a", "b", "c"][:draw(st.integers(1, 3))]
     spaces = [[f"s{i}" for i in range(draw(st.integers(1, 4)))] for _ in agents]
-    value = st.one_of(
-        st.integers(-9, 9).map(str),
-        st.tuples(st.integers(-9, 9), st.integers(1, 12)).map("{0[0]}/{0[1]}".format),
-        st.tuples(st.integers(-9, 9), st.integers(0, 99)).map("{0[0]}.{0[1]}".format),
-    )
+    if value is None:
+        value = st.one_of(
+            st.integers(-9, 9).map(str),
+            st.tuples(st.integers(-9, 9), st.integers(1, 12)).map("{0[0]}/{0[1]}".format),
+            st.tuples(st.integers(-9, 9), st.integers(0, 99)).map("{0[0]}.{0[1]}".format),
+        )
     head = ["game normal-form", "agents " + " ".join(agents)]
     head += [f"strategies {name}: {' '.join(sp)}" for name, sp in zip(agents, spaces)]
     table = [f"utility {name} {' '.join(profile)} {draw(value)}"
@@ -441,6 +446,58 @@ def test_game_layout_reader_matches_the_line_parser(text):
     assert formats._parse_game_layout(text) is not None
     assert _game_outcome(formats._parse_game_layout, text) == _game_outcome(
         formats._parse_game_lines, text)
+
+
+# Few values, some equal under different texts, so that payoffs tie.
+TIED_VALUES = st.sampled_from(["0", "1", "-1", "1/2", "2/4", "0.5"])
+
+
+@given(st.one_of(layout_game_documents(), layout_game_documents(TIED_VALUES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_rows_answer_as_the_per_cell_table_and_pairwise_checks(text, data):
+    """A table game's class table, read from its int rows, has the
+    per-cell table's classes and its columns up to one positive scale, and
+    its responses are the per-cell and the pairwise ``dominates`` ones."""
+    game = parse_game(text)
+    for line in text.splitlines()[2 + game.num_agents:]:
+        _, name, *profile, value = line.split(" ")
+        assert game.utility(game.agents.index(name), tuple(profile)) == Fraction(value)
+    per_cell = dataclasses.replace(game, utility=lambda a, o: game.utility(a, o))
+    pairwise = dataclasses.replace(game, utility=None)
+    for a in range(game.num_agents):
+        classes, columns = _payoff_classes(game, a)
+        cell_classes, cell_columns = _payoff_classes(per_cell, a)
+        assert classes == cell_classes
+        cells = [(x, y) for column, cell_column in zip(columns, cell_columns)
+                 for x, y in zip(column, cell_column)]
+        assert all(x == 0 for x, y in cells if y == 0)
+        scales = {Fraction(x, y) for x, y in cells if y}
+        assert len(scales) <= 1 and all(scale > 0 for scale in scales)
+        scene = make_scene(game, a, {
+            b: data.draw(st.sets(st.sampled_from(space), min_size=1))
+            for b, space in enumerate(game.strategies) if b != a
+        })
+        response = rational_response(game, a, scene)
+        assert response == rational_response(per_cell, a, scene)
+        assert response == rational_response(pairwise, a, scene)
+
+
+def test_table_game_classes_come_from_its_rows():
+    """A table game's class tables are cut from its int rows, with no
+    ``utility`` call per cell."""
+    game = _merged_table_game()
+    calls = []
+
+    def counted(a, outcome):
+        calls.append((a, outcome))
+        return game.utility(a, outcome)
+
+    counted.rows = game.utility.rows
+    counting = dataclasses.replace(game, utility=counted)
+    assert [_payoff_classes(counting, a) for a in range(3)] == [
+        _payoff_classes(game, a) for a in range(3)]
+    assert [len(_payoff_classes(game, a)[1]) for a in range(3)] == [2, 2, 2]
+    assert calls == []
 
 
 GAME_MUTATIONS = ["drop line", "double line", "move line", "copy over line",

@@ -109,6 +109,15 @@ def test_rejects_ids_that_are_not_ints(args, kind, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("edge", [[5], 5, (0, 1, 2), (0,), (), iter((0, 1, 0))],
+                         ids=["list of one", "int", "triple", "single", "empty", "iterator"])
+def test_rejects_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(GraphValidationError) as exc:
+        validate_graph(("a", "b"), 2, [0, 1], [(1, 0), edge], {0: 0})
+    assert exc.type is GraphValidationError
+    assert str(exc.value) == f"edge {edge!r} is not a pair of node ids"
+
+
 def test_accepts_the_ints_that_name_a_node():
     # bool is an int, as RbrGraph.check_node has it.
     ints = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
