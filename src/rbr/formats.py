@@ -15,6 +15,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     DuplicateDeclaration,
@@ -24,7 +25,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .games import Game, utility_game
-from .graph import NO_NODE, RbrGraph, validate_graph
+from .graph import NO_NODE, RbrGraph, stray_id, validate_graph
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,35 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()
+
+
+def _agents_line(lines: Iterator) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The agents, and their ids, that the next of ``lines`` (pairs from
+    :func:`_lines`) declares: the ``agents`` line rule of both line
+    parsers.  The line must be there, come first and name at least one
+    agent, none twice; a second one is an error where the parser meets
+    it."""
+    lineno, tokens = next(lines, (1, None))
+    if tokens is None:
+        raise GraphSyntaxError(1, "missing agents line")
+    if tokens[0] != "agents":
+        raise GraphSyntaxError(lineno, "agents line must come first")
+    if len(tokens) == 1:
+        raise GraphSyntaxError(lineno, "agents line needs at least one name")
+    agent_id: dict[str, int] = {}
+    for name in tokens[1:]:
+        if name in agent_id:
+            raise DuplicateDeclaration(lineno, f"agent {name} repeated")
+        agent_id[name] = len(agent_id)
+    return tuple(agent_id), agent_id
+
+
+def _known(lineno: int, ids: dict[str, int], kind: str, name: str) -> int:
+    """The id of ``name``, which must be a declared ``kind`` (agent or
+    node) name: one lookup rule for both line parsers."""
+    if name not in ids:
+        raise UnknownIdentifier(lineno, f"unknown {kind} {name}")
+    return ids[name]
 
 
 def parse_rbr(text: str) -> RawGraph:
@@ -152,63 +182,43 @@ def _parse_layout(text: str) -> RawGraph | None:
 
 def _parse_lines(text: str) -> RawGraph:
     """:func:`parse_rbr` for any document, one line at a time."""
-    agents: tuple[str, ...] | None = None
-    agent_id: dict[str, int] = {}
+    lines = _lines(text)
+    agents, agent_id = _agents_line(lines)
     node_id: dict[str, int] = {}
     labels: list[int] = []
     sources: list[int] = []
     targets: list[int] = []
     designation: dict[int, int] = {}
 
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in lines:
         kind, args = tokens[0], tokens[1:]
         if kind == "agents":
-            if agents is not None:
-                raise DuplicateDeclaration(lineno, "second agents line")
-            if not args:
-                raise GraphSyntaxError(lineno, "agents line needs at least one name")
-            agents = tuple(args)
-            for i, name in enumerate(args):
-                if name in agent_id:
-                    raise DuplicateDeclaration(lineno, f"agent {name} repeated")
-                agent_id[name] = i
-            continue
-        if agents is None:
-            raise GraphSyntaxError(lineno, "agents line must come first")
+            raise DuplicateDeclaration(lineno, "second agents line")
         if kind == "node":
             if len(args) != 2:
                 raise GraphSyntaxError(lineno, "expected: node <id> <agent>")
             name, agent = args
             if name in node_id:
                 raise DuplicateDeclaration(lineno, f"node {name} redeclared")
-            if agent not in agent_id:
-                raise UnknownIdentifier(lineno, f"unknown agent {agent}")
-            node_id[name] = len(labels)
-            labels.append(agent_id[agent])
+            labels.append(_known(lineno, agent_id, "agent", agent))
+            node_id[name] = len(node_id)
         elif kind == "edge":
             if len(args) != 2:
                 raise GraphSyntaxError(lineno, "expected: edge <from> <to>")
-            for name in args:
-                if name not in node_id:
-                    raise UnknownIdentifier(lineno, f"unknown node {name}")
-            sources.append(node_id[args[0]])
-            targets.append(node_id[args[1]])
+            sources.append(_known(lineno, node_id, "node", args[0]))
+            targets.append(_known(lineno, node_id, "node", args[1]))
         elif kind == "real":
             if len(args) != 2:
                 raise GraphSyntaxError(lineno, "expected: real <agent> <node>")
             agent, name = args
-            if agent not in agent_id:
-                raise UnknownIdentifier(lineno, f"unknown agent {agent}")
-            if name not in node_id:
-                raise UnknownIdentifier(lineno, f"unknown node {name}")
-            if agent_id[agent] in designation:
+            a = _known(lineno, agent_id, "agent", agent)
+            n = _known(lineno, node_id, "node", name)
+            if a in designation:
                 raise DuplicateDeclaration(lineno, f"agent {agent} designated twice")
-            designation[agent_id[agent]] = node_id[name]
+            designation[a] = n
         else:
             raise GraphSyntaxError(lineno, f"unknown directive {kind}")
 
-    if agents is None:
-        raise GraphSyntaxError(1, "missing agents line")
     return RawGraph(
         agents=agents,
         node_names=tuple(node_id),  # node_id gave out ids in insertion order
@@ -265,6 +275,19 @@ def export_dot(g: RbrGraph) -> str:
 # Fraction(str) also takes exponents, and 1e10000000 costs seconds and
 # gigabytes to build.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]+)?")
+
+
+def _utility_value(lineno: int, text: str) -> Fraction:
+    """The exact rational a utility text spells, for both game readers;
+    a GraphSyntaxError at ``lineno`` unless it spells one."""
+    if not _RATIONAL.fullmatch(text):
+        raise GraphSyntaxError(lineno, f"bad rational {text}")
+    try:
+        return Fraction(text)
+    except ValueError:  # more digits than int() converts
+        raise GraphSyntaxError(
+            lineno, f"rational of {len(text)} characters has too many digits"
+        ) from None
 
 
 def parse_game(text: str) -> Game:
@@ -328,16 +351,10 @@ def _parse_game_layout(text: str) -> Game | None:
         return None
     if len(kinds) != k * math.prod(map(len, spaces)):
         return None
-    rationals = {}
-    for value in set(values):
-        if not _RATIONAL.fullmatch(value):
-            return None
-        try:
-            rationals[value] = Fraction(value)
-        except ValueError:  # more digits than int() converts
-            return None
-    den = math.lcm(*(v.denominator for v in rationals.values()))
-    ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
+    try:
+        rationals = {value: _utility_value(0, value) for value in set(values)}
+    except GraphSyntaxError:
+        return None
     # Flat index: owner id, then strategy positions, in mixed radix.
     agent_id = {name: a for a, name in enumerate(agents)}
     try:
@@ -348,21 +365,28 @@ def _parse_game_layout(text: str) -> Game | None:
                            map(pos.__getitem__, column)))
     except KeyError:
         return None
-    table = dict(zip(key, map(ints.__getitem__, values)))
+    table = dict(zip(key, values))
     if len(table) != len(key):
         return None
-    return _table_game(agents, spaces, list(map(table.__getitem__, range(len(key)))), den)
+    texts = list(map(table.__getitem__, range(len(key))))
+    return _table_game(agents, spaces, texts, rationals)
 
 
-def _table_game(agents, spaces, flat: list[int], den: int) -> Game:
-    """The utility game whose agent ``a`` gets ``flat[a·P + p] / den`` at the
-    profile of mixed-radix index ``p`` (last agent fastest) among P.  Its
-    ``utility.rows(a)`` cuts agent ``a``'s int rows from ``flat``."""
+def _table_game(agents, spaces, texts: list[str], rationals: dict[str, Fraction]) -> Game:
+    """The utility game whose agent ``a`` gets ``rationals[texts[a·P + p]]``
+    at the profile of mixed-radix index ``p`` (last agent fastest) among P.
+
+    The game keeps one int table, ``flat``: every utility times ``den``,
+    the lcm of the denominators.  Its ``utility.rows(a)`` cuts agent
+    ``a``'s int rows from ``flat``."""
+    den = math.lcm(*(v.denominator for v in rationals.values()))
+    ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
+    flat = list(map(ints.__getitem__, texts))
     positions = [{token: i for i, token in enumerate(space)} for space in spaces]
     profiles = math.prod(map(len, spaces))
 
     def utility(a: int, outcome) -> Fraction:
-        if a not in range(len(spaces)) or len(outcome) != len(spaces):
+        if stray_id((a,), len(spaces)) is not None or len(outcome) != len(spaces):
             raise KeyError((a, outcome))
         i = a
         for pos, token in zip(positions, outcome):
@@ -381,13 +405,11 @@ def _table_game(agents, spaces, flat: list[int], den: int) -> Game:
 
 def _parse_game_lines(text: str) -> Game:
     """:func:`parse_game` for any document, one line at a time."""
-    lines = list(_lines(text))
-    if not lines or lines[0][1] != ["game", "normal-form"]:
-        lineno = lines[0][0] if lines else 1
+    lines = _lines(text)
+    lineno, tokens = next(lines, (1, None))
+    if tokens != ["game", "normal-form"]:
         raise GraphSyntaxError(lineno, "expected header: game normal-form")
-
-    agents: tuple[str, ...] | None = None
-    agent_id: dict[str, int] = {}
+    agents, agent_id = _agents_line(lines)
     spaces: dict[int, tuple[str, ...]] = {}
     table: dict[tuple[int, tuple[str, ...]], str] = {}  # utility texts
     line_of: dict[tuple[int, tuple[str, ...]], int] = {}  # table key -> its line
@@ -395,29 +417,17 @@ def _parse_game_lines(text: str) -> Game:
     # and converted once.
     rationals: dict[str, Fraction] = {}
 
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in lines:
         kind, args = tokens[0], tokens[1:]
         if kind == "agents":
-            if agents is not None:
-                raise DuplicateDeclaration(lineno, "second agents line")
-            if not args:
-                raise GraphSyntaxError(lineno, "agents line needs at least one name")
-            agents = tuple(args)
-            agent_id = {name: i for i, name in enumerate(args)}
-            if len(agent_id) != len(args):
-                raise DuplicateDeclaration(lineno, "repeated agent name")
-            continue
-        if agents is None:
-            raise GraphSyntaxError(lineno, "agents line must come first")
+            raise DuplicateDeclaration(lineno, "second agents line")
         if kind == "strategies":
             if len(args) < 2 or not args[0].endswith(":"):
                 raise GraphSyntaxError(
                     lineno, "expected: strategies <agent>: <token>+"
                 )
             name = args[0][:-1]
-            if name not in agent_id:
-                raise UnknownIdentifier(lineno, f"unknown agent {name}")
-            a = agent_id[name]
+            a = _known(lineno, agent_id, "agent", name)
             if a in spaces:
                 raise DuplicateDeclaration(lineno, f"strategies for {name} repeated")
             toks = tuple(args[1:])
@@ -429,19 +439,10 @@ def _parse_game_lines(text: str) -> Game:
                 raise GraphSyntaxError(
                     lineno, "expected: utility <agent> <token-per-agent> <rational>"
                 )
-            name, profile, value = args[0], tuple(args[1 : 1 + len(agents)]), args[-1]
-            if name not in agent_id:
-                raise UnknownIdentifier(lineno, f"unknown agent {name}")
+            profile, value = tuple(args[1 : 1 + len(agents)]), args[-1]
+            key = (_known(lineno, agent_id, "agent", args[0]), profile)
             if value not in rationals:
-                if not _RATIONAL.fullmatch(value):
-                    raise GraphSyntaxError(lineno, f"bad rational {value}")
-                try:
-                    rationals[value] = Fraction(value)
-                except ValueError:  # more digits than int() converts
-                    raise GraphSyntaxError(
-                        lineno, f"rational of {len(value)} characters has too many digits"
-                    ) from None
-            key = (agent_id[name], profile)
+                rationals[value] = _utility_value(lineno, value)
             if key in table:
                 raise DuplicateDeclaration(lineno, "utility entry repeated")
             table[key] = value
@@ -449,8 +450,6 @@ def _parse_game_lines(text: str) -> Game:
         else:
             raise GraphSyntaxError(lineno, f"unknown directive {kind}")
 
-    if agents is None:
-        raise GraphSyntaxError(1, "missing agents line")
     for name, a in agent_id.items():
         if a not in spaces:
             raise MissingUtilityEntry(1, f"no strategies declared for {name}")
@@ -469,6 +468,4 @@ def _parse_game_lines(text: str) -> Game:
             if tok not in spaces[b]:
                 raise UnknownIdentifier(lineno, f"unknown strategy token {tok}")
 
-    den = math.lcm(*(v.denominator for v in rationals.values()))
-    ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
-    return _table_game(agents, ordered, list(map(ints.__getitem__, texts)), den)
+    return _table_game(agents, ordered, texts, rationals)

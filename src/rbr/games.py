@@ -14,9 +14,10 @@ import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
+from .graph import stray_id
 
 Strategy = Hashable
 Outcome = tuple
@@ -133,14 +134,14 @@ def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
 
 def _scene_picks(game: Game, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
     """The one scene check.  Raises SceneOwnerMismatch unless ``scene`` is
-    agent ``a``'s and ``a`` is an agent of ``game``, and ForeignStrategy
+    agent ``a``'s and ``a`` is an agent id of ``game``, and ForeignStrategy
     unless the scene has one slot per agent and each opponent set is
     nonempty and inside its space.  Returns, per opponent of ``a`` in
     order, its space's size and the indices of the strategies allowed."""
     if scene.owner != a:
         raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
-    if a not in range(game.num_agents):
-        raise SceneOwnerMismatch(f"no agent {a} among {game.num_agents} agents")
+    if stray_id((a,), game.num_agents) is not None:
+        raise SceneOwnerMismatch(f"no agent {a!r} among {game.num_agents} agents")
     if len(scene.opponents) != game.num_agents:
         raise ForeignStrategy(
             f"scene has {len(scene.opponents)} opponent slots for {game.num_agents} agents"
@@ -355,17 +356,6 @@ def alternating_sequences(num_agents: int, a: int, k: int) -> frozenset[tuple[in
     return frozenset(out)
 
 
-def _sequence_space_sizes(num_agents: int) -> Iterator[int]:
-    """Strategies per agent in the sequence game for k = 1, 2, ...: Quit
-    plus (num_agents - 1)**(l - 1) alternating sequences of each length
-    l <= k."""
-    size, layer = 1, 1
-    while True:
-        size += layer
-        yield size
-        layer *= num_agents - 1
-
-
 def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     """Override game over alternating agent sequences of length <= k.
 
@@ -380,7 +370,10 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     num = len(agents)
     # The table grows with the length bound, so checking each bound up to
     # k stops at the first one over the cap, before any space is built.
-    for length, size in zip(range(1, k + 1), _sequence_space_sizes(num)):
+    # An agent has Quit and (num - 1)**(l - 1) sequences of each length l.
+    size, layer = 1, 1
+    for length in range(1, k + 1):
+        size, layer = size + layer, layer * (num - 1)
         _check_cells(
             f"gk:{k} payoff table over sequences up to length {length}", size**num
         )

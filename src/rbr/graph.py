@@ -34,6 +34,24 @@ NO_NODE = -1
 DEFAULT_SEQUENCE_CAP = 10**6
 
 
+def stray_id(ids: Sequence, bound: int) -> tuple[int, object] | None:
+    """The first ``(position, id)`` in ``ids`` that is not an id below
+    ``bound``, or None when every one is.
+
+    An id is an ``int`` (a ``bool`` counts) in 0..bound-1; this is the
+    one test of it for nodes, agents and blocks.  When no id strays, as
+    on valid input, the answer comes from passes in C: one ``isinstance``
+    pass, then the least and greatest of the distinct ids.  The set alone
+    would let 1.0 (== 1) through.  Only a stray is looked for in Python.
+    """
+    if all(map(isinstance, ids, repeat(int))):
+        distinct = set(ids)
+        if not distinct or 0 <= min(distinct) and max(distinct) < bound:
+            return None
+    return next((i, x) for i, x in enumerate(ids)
+                if not (isinstance(x, int) and 0 <= x < bound))
+
+
 @dataclass(frozen=True)
 class RbrGraph:
     """Validated, immutable RBR graph.
@@ -83,7 +101,7 @@ class RbrGraph:
         return self.designated[self.labels[n]] == n
 
     def check_node(self, n: int) -> None:
-        if not (isinstance(n, int) and 0 <= n < len(self.labels)):
+        if stray_id((n,), len(self.labels)) is not None:
             raise UnknownNode(n)
 
     @cached_property
@@ -143,18 +161,18 @@ def validate_graph(
         raise GraphValidationError(
             f"{len(node_names)} node names for {num_nodes} nodes"
         )
-    # Two passes in C; the set test alone would let 1.0 (== 1) through.
-    if not (
-        all(map(isinstance, labels, repeat(int)))
-        and set(labels) <= set(range(num_agents))
-    ):
-        for n, a in enumerate(labels):
-            if not (isinstance(a, int) and 0 <= a < num_agents):
-                raise GraphValidationError(f"node {n} has unknown agent label {a!r}")
+    stray = stray_id(labels, num_agents)
+    if stray is not None:
+        n, a = stray
+        raise GraphValidationError(f"node {n} has unknown agent label {a!r}")
 
     # One flat row-major table, cut into row tuples once every edge is
     # in, so that no list per node is built.
     flat = [NO_NODE] * (num_nodes * num_agents)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise GraphValidationError(f"edges {edges!r} are not an iterable") from None
     edge = (0, 0)  # an error before the first edge passes through
     try:
         for edge in edges:
@@ -182,9 +200,9 @@ def validate_graph(
 
     designated = [NO_NODE] * num_agents
     for a, n in designation.items():
-        if not (isinstance(a, int) and 0 <= a < num_agents):
+        if stray_id((a,), num_agents) is not None:
             raise GraphValidationError(f"designation names unknown agent {a!r}")
-        if not (isinstance(n, int) and 0 <= n < num_nodes):
+        if stray_id((n,), num_nodes) is not None:
             raise GraphValidationError(f"agent {a} designates unknown node {n!r}")
         if labels[n] != a:
             raise DesignationMismatch(a, n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AgentUniverseMismatch, SizeCap
-from .games import DEFAULT_PROFILE_CAP, Game, _sequence_space_sizes, make_sequence_game
+from .games import Game, Quit
 from .graph import NO_NODE, RbrGraph
 
 DEFAULT_DEPTH_CAP = 12
@@ -92,6 +92,35 @@ def brute_force_rational_solution(g: RbrGraph, game: Game) -> tuple:
         sets = nxt
 
 
+def sequence_game(agents: tuple[str, ...], k: int) -> Game:
+    """The sequence-override game over alternating agent sequences of
+    length at most ``k``, built from its definition as a compare-only game.
+
+    Agent a's strategies are Quit(a), then the alternating sequences that
+    start with a, in sorted order.  Quitting pays 0; a sequence pays 1
+    when it has a tail and the tail's head agent played exactly that tail,
+    and -1 otherwise.
+    """
+    num = len(agents)
+    seqs = layer = [(a,) for a in range(num)]
+    for _ in range(k - 1):
+        layer = [s + (b,) for s in layer for b in range(num) if b != s[-1]]
+        seqs = seqs + layer
+    spaces = [(Quit(a), *sorted(s for s in seqs if s[0] == a)) for a in range(num)]
+
+    def utility(a: int, outcome: tuple) -> int:
+        s = outcome[a]
+        if isinstance(s, Quit):
+            return 0
+        return 1 if len(s) > 1 and outcome[s[1]] == s[1:] else -1
+
+    def compare(a: int, o: tuple, o2: tuple) -> int:
+        u, u2 = utility(a, o), utility(a, o2)
+        return (u > u2) - (u < u2)
+
+    return Game(agents=tuple(agents), strategies=tuple(spaces), compare=compare)
+
+
 def gk_distinguisher(
     ga: RbrGraph, na: int, gb: RbrGraph, nb: int, k_max: int
 ) -> int | None:
@@ -106,13 +135,15 @@ def gk_distinguisher(
     ga.check_node(na)
     gb.check_node(nb)
     num = len(ga.agents)
-    for k, size in zip(range(1, k_max + 1), _sequence_space_sizes(num)):
+    for k in range(1, k_max + 1):
         if brute_force_hierarchy(ga, na, k) != brute_force_hierarchy(gb, nb, k):
-            # Certification replays the whole game; skip it, without
-            # building the game, when the strategy spaces are too large
-            # for nested-loop solving or the payoff table is over the cap.
-            if num >= 2 and num * size <= 150 and size**num <= DEFAULT_PROFILE_CAP:
-                game = make_sequence_game(ga.agents, k)
+            # Certification replays the whole game with nested loops; skip
+            # it, without building the game, past 150 strategies over all
+            # agents or 10**6 outcome profiles.  Each agent has Quit and
+            # (num - 1)**(l - 1) sequences of each length l.
+            size = 1 + sum((num - 1) ** i for i in range(k))
+            if num >= 2 and num * size <= 150 and size**num <= 10**6:
+                game = sequence_game(ga.agents, k)
                 sa = brute_force_rational_solution(ga, game)
                 sb = brute_force_rational_solution(gb, game)
                 assert sa[na] != sb[nb], (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import ne
 from typing import Collection, Iterable, Sequence
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     NotCanonical,
     PartialMapping,
 )
-from .graph import NO_NODE, RbrGraph, relabel, successor_keys
+from .graph import NO_NODE, RbrGraph, relabel, stray_id, successor_keys
 from .graph import validate_graph  # unused here; perfbench/tracing.py patches it
 
 
@@ -57,22 +56,23 @@ def initial_partition(g: RbrGraph) -> Partition:
 
 
 def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
-    """Reject a partition that does not cover ``g``'s nodes or numbers a
-    block outside 0..block_count-1, or one whose blocks mix labels: every
+    """Reject a partition that does not cover ``g``'s nodes or names a
+    block by anything but an id below block_count
+    (:func:`~rbr.graph.stray_id`), or one whose blocks mix labels: every
     node against its block's first member."""
     if len(p.block_of) != g.num_nodes:
         raise PartialMapping(
             f"partition of {len(p.block_of)} nodes for a graph of {g.num_nodes}"
         )
+    stray = stray_id(p.block_of, p.block_count)
+    if stray is not None:
+        n, k = stray
+        raise PartialMapping(f"node {n} is in block {k!r}, outside 0..{p.block_count - 1}")
     first = dict(zip(reversed(p.block_of), reversed(g.labels)))
-    stray = first.keys() - range(p.block_count)
-    if stray:
-        n, k = next((n, k) for n, k in enumerate(p.block_of) if k in stray)
-        raise PartialMapping(f"node {n} is in block {k}, outside 0..{p.block_count - 1}")
-    mixed = list(map(ne, map(first.__getitem__, p.block_of), g.labels))
-    if True in mixed:
-        k = p.block_of[mixed.index(True)]
-        raise LabelMixingPartition(f"block {k} mixes labels")
+    block_labels = tuple(map(first.__getitem__, p.block_of))
+    if block_labels != g.labels:
+        n = next(n for n, a in enumerate(g.labels) if block_labels[n] != a)
+        raise LabelMixingPartition(f"block {p.block_of[n]} mixes labels")
 
 
 def refine_once(g: RbrGraph, p: Partition) -> Partition:
@@ -255,9 +255,7 @@ def check_local_isomorphism(
     """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
-    if len(alpha) != ga.num_nodes or any(
-        not (isinstance(m, int) and 0 <= m < gb.num_nodes) for m in alpha
-    ):
+    if len(alpha) != ga.num_nodes or stray_id(alpha, gb.num_nodes) is not None:
         raise PartialMapping("mapping must cover exactly the source node set")
     return (
         set(alpha) == set(gb.nodes())

@@ -118,6 +118,23 @@ def test_rejects_an_edge_that_is_not_a_pair(edge):
     assert str(exc.value) == f"edge {edge!r} is not a pair of node ids"
 
 
+@pytest.mark.parametrize("edges", [5, None, 1.5], ids=["int", "None", "float"])
+def test_rejects_edges_that_are_not_an_iterable(edges):
+    with pytest.raises(GraphValidationError) as exc:
+        validate_graph(("a", "b"), 2, [0, 1], edges, {0: 0})
+    assert exc.type is GraphValidationError
+    assert str(exc.value) == f"edges {edges!r} are not an iterable"
+
+
+def test_an_error_from_reading_the_edges_passes_through():
+    def edges():
+        yield (0, 1)
+        raise TypeError("from the edge source")
+
+    with pytest.raises(TypeError, match="^from the edge source$"):
+        validate_graph(("a", "b"), 2, [0, 1], edges(), {0: 0}, require_reachable=False)
+
+
 def test_accepts_the_ints_that_name_a_node():
     # bool is an int, as RbrGraph.check_node has it.
     ints = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from rbr import (
     belief_hierarchy_bounded,
     make_binary_game,
     make_guess_average_game,
+    make_sequence_game,
     nodes_doxastically_equivalent,
     rational_solution,
 )
@@ -108,13 +110,32 @@ def test_distinguisher_skips_games_too_large_to_certify():
         assert gk_distinguisher(ga, 0, gb, 0, length + 1) == length
 
 
+@pytest.mark.parametrize("agents", [("a", "b"), ABC], ids=["2 agents", "3 agents"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_sequence_game_is_the_builtin_game(agents, k):
+    """The oracle's own sequence game has the builtin's strategy spaces
+    and the same verdict on every outcome against each deviation of
+    each agent."""
+    own, builtin = rbr.oracle.sequence_game(agents, k), make_sequence_game(agents, k)
+    assert own.agents == builtin.agents
+    assert own.strategies == builtin.strategies
+    assert own.utility is None
+    for outcome in itertools.product(*own.strategies):
+        for a, space in enumerate(own.strategies):
+            for s in space:
+                other = outcome[:a] + (s,) + outcome[a + 1:]
+                assert own.compare(a, outcome, other) == builtin.compare(a, outcome, other)
+
+
 @pytest.mark.parametrize("layer, forbidden", [
     # The oracle-agreement suites compare against rbr.oracle; if it routed
     # through solve, partition or minimize, they would compare the
     # optimised path with itself.
     # Nor may it build its keys with the builder both of those share.
+    # Nor may it certify with the builtin sequence game it checks.
     (rbr.oracle, ("rbr.solve", "rbr.partition", "rbr.minimize",
-                  "rbr.graph.successor_keys")),
+                  "rbr.graph.successor_keys", "rbr.games.make_sequence_game",
+                  "rbr.games.DEFAULT_PROFILE_CAP")),
     # The solver groups nodes by scene key and refines no partition.
     (rbr.solve, ("rbr.partition", "rbr.minimize")),
 ], ids=["oracle", "solve"])
