@@ -33,6 +33,7 @@ from .minimize import MinimisationReport, minimise
 from .partition import (
     Partition,
     check_local_isomorphism,
+    equivalence_report,
     find_isomorphism,
     finest_partition,
     graphs_equivalent,
@@ -70,6 +71,7 @@ __all__ = [
     "check_local_isomorphism",
     "dominates",
     "doxastic_rationalisability",
+    "equivalence_report",
     "export_dot",
     "find_isomorphism",
     "finest_partition",

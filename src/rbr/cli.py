@@ -18,7 +18,8 @@ from .games import Game, make_binary_game, make_guess_average_game, make_sequenc
 from .games import strategy_label
 from .graph import RbrGraph
 from .minimize import minimise
-from .partition import finest_partition, disjoint_union
+# disjoint_union and finest_partition are unused here; perfbench/tracing.py patches them.
+from .partition import disjoint_union, equivalence_report, finest_partition
 from .solve import _designated_entries, rational_solution
 from .solve import doxastic_rationalisability  # unused here; perfbench/tracing.py patches it
 from . import __version__
@@ -125,20 +126,15 @@ def cmd_equiv(args) -> int:
     if ga.agents != gb.agents:
         print("not equivalent: agent universes differ")
         return 1
-    da, db = ga.designation_domain(), gb.designation_domain()
-    if da != db:
+    report = equivalence_report(ga, gb)
+    if report is None:
         print("not equivalent: designation domains differ")
         return 1
-    p = finest_partition(disjoint_union(ga, gb))
-    verdict = 0
-    for a in sorted(da):
-        same = p.same_block(ga.designated[a], ga.num_nodes + gb.designated[a])
-        state = "same" if same else "differ"
-        print(f"agent {ga.agents[a]}: hierarchies {state}")
-        if not same:
-            verdict = 1
-    print("equivalent" if verdict == 0 else "not equivalent")
-    return verdict
+    for a, same in report.items():
+        print(f"agent {ga.agents[a]}: hierarchies {'same' if same else 'differ'}")
+    equivalent = all(report.values())
+    print("equivalent" if equivalent else "not equivalent")
+    return 0 if equivalent else 1
 
 
 def cmd_solve(args) -> int:

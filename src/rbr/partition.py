@@ -56,14 +56,17 @@ def initial_partition(g: RbrGraph) -> Partition:
 
 
 def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
-    """Reject a partition that does not cover ``g``'s nodes or names a
-    block by anything but an id below block_count
+    """Reject a partition that does not cover ``g``'s nodes, counts its
+    blocks by anything but a non-negative int (a bool counts, as for an
+    id), or names a block by anything but an id below block_count
     (:func:`~rbr.graph.stray_id`), or one whose blocks mix labels: every
     node against its block's first member."""
     if len(p.block_of) != g.num_nodes:
         raise PartialMapping(
             f"partition of {len(p.block_of)} nodes for a graph of {g.num_nodes}"
         )
+    if not isinstance(p.block_count, int) or p.block_count < 0:
+        raise PartialMapping(f"block count {p.block_count!r} is not a non-negative int")
     stray = stray_id(p.block_of, p.block_count)
     if stray is not None:
         n, k = stray
@@ -219,6 +222,16 @@ def disjoint_union(ga: RbrGraph, gb: RbrGraph) -> RbrGraph:
     )
 
 
+def _union_sides(ga: RbrGraph, gb: RbrGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The finest-partition block of every node of ``ga`` and of every
+    node of ``gb``, read off one finest partition of their disjoint
+    union, so a block id means the same hierarchy on both sides.  Every
+    two-graph question reads its blocks here; graphs over different
+    agent universes raise AgentUniverseMismatch."""
+    block_of = finest_partition(disjoint_union(ga, gb)).block_of
+    return block_of[: ga.num_nodes], block_of[ga.num_nodes :]
+
+
 def nodes_doxastically_equivalent(
     ga: RbrGraph, na: int, gb: RbrGraph, nb: int
 ) -> bool:
@@ -226,19 +239,31 @@ def nodes_doxastically_equivalent(
     depth (and hence identical rational-solution entries in every game)."""
     ga.check_node(na)
     gb.check_node(nb)
-    p = finest_partition(disjoint_union(ga, gb))
-    return p.same_block(na, ga.num_nodes + nb)
+    side_a, side_b = _union_sides(ga, gb)
+    return side_a[na] == side_b[nb]
+
+
+def equivalence_report(ga: RbrGraph, gb: RbrGraph) -> dict[int, bool] | None:
+    """Per agent designated in both graphs, in agent order, whether its
+    two designated nodes have identical belief hierarchies; None when
+    the graphs' designation domains differ.
+
+    Graphs over different agent universes raise AgentUniverseMismatch
+    before the domains are compared.
+    """
+    if ga.agents != gb.agents:
+        raise AgentUniverseMismatch((ga.agents, gb.agents))
+    domain = ga.designation_domain()
+    if domain != gb.designation_domain():
+        return None
+    side_a, side_b = _union_sides(ga, gb)
+    return {a: side_a[ga.designated[a]] == side_b[gb.designated[a]] for a in sorted(domain)}
 
 
 def graphs_equivalent(ga: RbrGraph, gb: RbrGraph) -> bool:
     """Same designation domain and per-agent equivalent designated nodes."""
-    if ga.agents != gb.agents:
-        raise AgentUniverseMismatch((ga.agents, gb.agents))
-    if ga.designation_domain() != gb.designation_domain():
-        return False
-    p = finest_partition(disjoint_union(ga, gb))
-    side_b = p.block_of[ga.num_nodes :]
-    return relabel(p.block_of, ga.designated) == relabel(side_b, gb.designated)
+    report = equivalence_report(ga, gb)
+    return report is not None and all(report.values())
 
 
 def is_canonical(g: RbrGraph) -> bool:
@@ -275,8 +300,7 @@ def find_isomorphism(ga: RbrGraph, gb: RbrGraph) -> tuple[int, ...] | None:
     Graphs over different agent universes raise AgentUniverseMismatch,
     before canonicity is checked.
     """
-    p = finest_partition(disjoint_union(ga, gb))
-    side_a, side_b = p.block_of[: ga.num_nodes], p.block_of[ga.num_nodes :]
+    side_a, side_b = _union_sides(ga, gb)
     if len(set(side_a)) != ga.num_nodes or len(set(side_b)) != gb.num_nodes:
         raise NotCanonical("both graphs must be canonical")
     if relabel(side_a, ga.designated) != relabel(side_b, gb.designated):

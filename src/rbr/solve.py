@@ -38,12 +38,14 @@ def _check_cover(g: RbrGraph, game: Game, s: Solution) -> None:
 
 def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
     """Raise as the one solution check (:func:`_check_cover`) does, and
-    InvalidSolution on an empty entry or one outside its node's space."""
+    InvalidSolution naming the node on an entry that is not a nonempty
+    frozenset inside its node's space (the solver hashes entries, so a
+    set or a list would fail there)."""
     _check_cover(g, game, s)
     for n, entry in enumerate(s):
-        space = set(game.strategies[g.labels[n]])
-        if not entry or not set(entry) <= space:
-            raise InvalidSolution(f"node {n} entry empty or outside its space")
+        space = frozenset(game.strategies[g.labels[n]])
+        if not isinstance(entry, frozenset) or not entry or not entry <= space:
+            raise InvalidSolution(f"node {n} entry is not a nonempty frozenset in its space")
 
 
 def full_solution(g: RbrGraph, game: Game) -> Solution:

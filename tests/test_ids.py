@@ -5,10 +5,13 @@ exactly those ids, as before, and answers anything else with the error
 its module documents: ``UnknownNode`` for a node, a
 ``GraphValidationError`` for a label or designation, ``PartialMapping``
 for a block id or a map entry, ``SceneOwnerMismatch`` for a scene owner,
-and ``KeyError`` for a table game's utility agent.
+and ``KeyError`` for a table game's utility agent.  A partition's block
+count is a non-negative int, under the same rule for bools.
 """
 
 from __future__ import annotations
+
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -189,6 +192,24 @@ def test_every_id_argument_takes_exactly_the_ids_below_its_bound(case, g, game, 
     answer = call(valid)
     if valid in (0, 1):
         assert call(bool(valid)) == answer
+
+
+@pytest.mark.parametrize("fn, partition", [
+    (refine_once, initial_partition),
+    (quotient, finest_partition),
+], ids=["refine_once", "quotient"])
+@given(g=graphs())
+@settings(max_examples=20, deadline=None)
+def test_a_block_count_is_a_non_negative_int(fn, partition, g):
+    p = partition(g)
+    count = p.block_count
+    for bad in [None, str(count), float(count), count + 0.5, -1]:
+        with pytest.raises(PartialMapping, match=f"^block count {re.escape(repr(bad))} is not"):
+            fn(g, Partition(p.block_of, bad))
+    # A bool counts as the int it equals, as for every id.
+    answer = fn(g, p)
+    if count == 1:
+        assert fn(g, Partition(p.block_of, True)) == answer
 
 
 def test_stray_ids_are_named_by_repr(b2):

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import io
+import os
 import random
+import tempfile
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbr import (
     check_local_isomorphism,
+    equivalence_report,
     find_isomorphism,
     finest_partition,
     graphs_equivalent,
@@ -18,8 +23,10 @@ from rbr import (
     nodes_doxastically_equivalent,
     rational_solution,
     refine_once,
+    serialize_rbr,
     validate_graph,
 )
+from rbr.cli import main
 from rbr.errors import (
     AgentUniverseMismatch,
     LabelMixingPartition,
@@ -140,6 +147,96 @@ def test_graphs_equivalent(b1, b2, b3, b4, b5):
     assert graphs_equivalent(b5, b3)
     assert not graphs_equivalent(b1, b2)  # designation domains differ
     assert not graphs_equivalent(b3, b4)  # c's hierarchies differ
+
+
+def test_equivalence_report(b1, b2, b3, b4, b5):
+    assert equivalence_report(b5, b3) == {0: True, 1: True, 2: True}
+    assert equivalence_report(b1, b2) is None  # designation domains differ
+    assert equivalence_report(b3, b4) == {0: True, 1: True, 2: False}
+    assert list(equivalence_report(b2, b2)) == [0, 1]  # c is not designated
+    # Different agent universes raise before the domains are compared.
+    other = validate_graph(("a", "b"), 1, [0], [], {0: 0})
+    for ga, gb in ((b1, other), (other, b1)):
+        with pytest.raises(AgentUniverseMismatch):
+            equivalence_report(ga, gb)
+
+
+def _renumbered(g, order):
+    """The graph on the nodes in ``order``, node order[i] becoming node i;
+    ``order`` must hold every node that a kept node believes in."""
+    new = {n: i for i, n in enumerate(order)}
+    return validate_graph(
+        g.agents,
+        len(order),
+        [g.labels[n] for n in order],
+        [(new[n], new[m]) for n, m in g.edges() if n in new],
+        {a: new[n] for a, n in enumerate(g.designated) if n != NO_NODE},
+    )
+
+
+def _reachable_part(g):
+    """``g`` cut down to the nodes its designated nodes reach, as a graph
+    document must be."""
+    keep, frontier = set(), [n for n in g.designated if n != NO_NODE]
+    while frontier:
+        n = frontier.pop()
+        if n not in keep:
+            keep.add(n)
+            frontier.extend(m for m in g.succ[n] if m != NO_NODE)
+    return _renumbered(g, sorted(keep))
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two drawn graphs, or a drawn graph and a blow-up or a node
+    permutation of it, so that equivalent pairs occur; in either order."""
+    g = draw(graphs())
+    kind = draw(st.sampled_from(["drawn", "blow-up", "permutation"]))
+    if kind == "drawn":
+        other = draw(graphs())
+    elif kind == "blow-up":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        other = _reachable_part(blow_up(rng, g, draw(st.integers(2, 3)))[0])
+    else:
+        other = _renumbered(g, draw(st.permutations(list(g.nodes()))))
+    return (g, other) if draw(st.booleans()) else (other, g)
+
+
+def _equiv_cli(ga, gb):
+    """Exit code, stdout and stderr of ``rbr equiv`` on the two graphs'
+    documents."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("a.rbr", "b.rbr")]
+        for path, g in zip(paths, (ga, gb)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(serialize_rbr(g))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["equiv", *paths])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(graph_pairs())
+@settings(max_examples=150, deadline=None)
+def test_every_two_graph_verdict_reads_the_equivalence_report(pair):
+    ga, gb = pair
+    report = equivalence_report(ga, gb)
+    if report is None:
+        assert ga.designation_domain() != gb.designation_domain()
+        lines = ["not equivalent: designation domains differ"]
+    else:
+        assert list(report) == sorted(ga.designation_domain())
+        assert report == {
+            a: nodes_doxastically_equivalent(ga, ga.designated[a], gb, gb.designated[a])
+            for a in ga.designation_domain()
+        }
+        lines = [f"agent {ga.agents[a]}: hierarchies {'same' if same else 'differ'}"
+                 for a, same in report.items()]
+    verdict = report is not None and all(report.values())
+    assert graphs_equivalent(ga, gb) == verdict
+    if report is not None:
+        lines.append("equivalent" if verdict else "not equivalent")
+    assert _equiv_cli(ga, gb) == (0 if verdict else 1, "\n".join(lines) + "\n", "")
 
 
 def test_is_canonical(b3, b5):
@@ -531,7 +628,7 @@ def _check_union(ga, gb):
     assert union == _validated_union(ga, gb)
 
     def answers():
-        return graphs_equivalent(ga, gb), [
+        return graphs_equivalent(ga, gb), equivalence_report(ga, gb), [
             nodes_doxastically_equivalent(ga, na, gb, nb)
             for na in ga.nodes()
             for nb in gb.nodes()

@@ -104,6 +104,15 @@ def test_iterate_rejects_bad_solution(b1, guess):
         iterate(b1, guess, (frozenset(),) * 3, 1)
 
 
+@pytest.mark.parametrize("entry", [[1, 2], {1, 2}], ids=["list", "set"])
+def test_iterate_and_is_stable_want_frozenset_entries(b2, guess, entry):
+    # A list or set entry lies inside its space, but the solver hashes it.
+    s = (frozenset({1, 2}), entry)
+    for call in (lambda: iterate(b2, guess, s, 1), lambda: is_stable(b2, guess, s)):
+        with pytest.raises(InvalidSolution, match="^node 1 entry is not a nonempty frozenset"):
+            call()
+
+
 def test_rationalise_rejects_a_short_solution(b2, guess):
     # Node 0's b-successor is node 1, which the solution leaves out.
     with pytest.raises(InvalidSolution):
