@@ -185,47 +185,66 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("validate", "minimize", "equiv", "solve", "export-dot")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rbr`` parser, with every subcommand's parser, or with only
+    ``command``'s when it is one of :data:`COMMANDS`: an argv that starts
+    with a command name reads no other subparser.  The subparsers'
+    metavar then lists every command, so the usage line of a top-level
+    error is the full parser's.  The full parser keeps argparse's own
+    metavar, which its required and invalid-choice errors name."""
     parser = argparse.ArgumentParser(
         prog="rbr",
         description="RBR graphs: validation, minimisation, equivalence, "
         "and doxastic rationalisability.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:
+        built, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
+    else:
+        built, metavar = COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("validate", help="check a graph document")
-    p.add_argument("graph")
-    p.set_defaults(run=cmd_validate)
+    if "validate" in built:
+        p = sub.add_parser("validate", help="check a graph document")
+        p.add_argument("graph")
+        p.set_defaults(run=cmd_validate)
 
-    p = sub.add_parser("minimize", help="compress to minimal canonical form")
-    p.add_argument("graph")
-    p.add_argument("--out", help="write the minimised graph to this path")
-    p.set_defaults(run=cmd_minimize)
+    if "minimize" in built:
+        p = sub.add_parser("minimize", help="compress to minimal canonical form")
+        p.add_argument("graph")
+        p.add_argument("--out", help="write the minimised graph to this path")
+        p.set_defaults(run=cmd_minimize)
 
-    p = sub.add_parser("equiv", help="decide equivalence of two graphs")
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.set_defaults(run=cmd_equiv)
+    if "equiv" in built:
+        p = sub.add_parser("equiv", help="decide equivalence of two graphs")
+        p.add_argument("graph_a")
+        p.add_argument("graph_b")
+        p.set_defaults(run=cmd_equiv)
 
-    p = sub.add_parser("solve", help="doxastic rationalisability of a game")
-    p.add_argument("graph")
-    p.add_argument(
-        "game",
-        help="game document path, or builtin spec: "
-        "guess23:<agents>:<max> | gk:<k> | binary",
-    )
-    p.add_argument("--trace", action="store_true", help="print per-round sets")
-    p.set_defaults(run=cmd_solve)
+    if "solve" in built:
+        p = sub.add_parser("solve", help="doxastic rationalisability of a game")
+        p.add_argument("graph")
+        p.add_argument(
+            "game",
+            help="game document path, or builtin spec: "
+            "guess23:<agents>:<max> | gk:<k> | binary",
+        )
+        p.add_argument("--trace", action="store_true", help="print per-round sets")
+        p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("export-dot", help="write DOT to standard output")
-    p.add_argument("graph")
-    p.set_defaults(run=cmd_export_dot)
+    if "export-dot" in built:
+        p = sub.add_parser("export-dot", help="write DOT to standard output")
+        p.add_argument("graph")
+        p.set_defaults(run=cmd_export_dot)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except (OSError, UnicodeError) as exc:

@@ -42,9 +42,9 @@ def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
     frozenset inside its node's space (the solver hashes entries, so a
     set or a list would fail there)."""
     _check_cover(g, game, s)
-    for n, entry in enumerate(s):
-        space = frozenset(game.strategies[g.labels[n]])
-        if not isinstance(entry, frozenset) or not entry or not entry <= space:
+    spaces = [frozenset(space) for space in game.strategies]
+    for n, (entry, a) in enumerate(zip(s, g.labels)):
+        if not isinstance(entry, frozenset) or not entry or not entry <= spaces[a]:
             raise InvalidSolution(f"node {n} entry is not a nonempty frozenset in its space")
 
 
@@ -98,10 +98,17 @@ def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
     """One rationalisation round: per-node rational response in its scene.
 
     Each scene key is answered once; ``_memo``, a memo of the same game,
-    carries the answers over to later rounds.
+    carries the answers over to later rounds.  A call without one checks
+    every entry (:func:`check_solution`); the rounds that pass one
+    check only the cover, their entries being the solver's own or
+    checked on entry.
     """
-    _check_cover(g, game, s)
-    return tuple(_responses(g, game, s, _ResponseMemo(game) if _memo is None else _memo))
+    if _memo is None:
+        check_solution(g, game, s)
+        _memo = _ResponseMemo(game)
+    else:
+        _check_cover(g, game, s)
+    return tuple(_responses(g, game, s, _memo))
 
 
 def _responses(
@@ -130,7 +137,6 @@ def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
 
 
 def is_stable(g: RbrGraph, game: Game, s: Solution) -> bool:
-    check_solution(g, game, s)
     return rationalise(g, game, s) == s
 
 

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import itertools
 import os
@@ -19,7 +20,7 @@ from rbr import (
     validate_graph,
 )
 from rbr import formats
-from rbr.cli import main
+from rbr.cli import COMMANDS, build_parser, main
 from rbr.games import strategy_label
 from .conftest import ABC, blow_up, iterated_rationalise, random_graph
 
@@ -328,6 +329,86 @@ def test_python_dash_m_runs_the_cli(paths):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert (done.returncode, done.stdout) == (0, "valid: 3 nodes, 3 agents\n")
+
+    # main() reads sys.argv itself; a top-level error's usage names every command.
+    done = subprocess.run(
+        [sys.executable, "-m", "rbr", "solve", paths["b1"], "gk:2", "--bogus"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines()[0] == (
+        "usage: rbr [-h] [--version] {validate,minimize,equiv,solve,export-dot} ..."
+    )
+
+
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["--vers"],
+    ["bogus"],
+    ["bogus", "g.rbr"],
+    ["--", "solve", "g.rbr", "gk:2"],
+    ["validate"],
+    ["validate", "g.rbr"],
+    ["validate", "g.rbr", "extra.rbr"],
+    ["validate", "-h"],
+    ["minimize", "-h"],
+    ["minimize", "g.rbr", "--out"],
+    ["minimize", "g.rbr", "--out", "min.rbr"],
+    ["equiv", "-h"],
+    ["equiv", "a.rbr"],
+    ["equiv", "a.rbr", "b.rbr"],
+    ["solve", "-h"],
+    ["solve", "g.rbr"],
+    ["solve", "g.rbr", "gk:2", "--bogus"],
+    ["solve", "g.rbr", "gk:2", "--version"],
+    ["solve", "g.rbr", "gk:2", "--tr"],
+    ["solve", "--", "g.rbr", "gk:2"],
+    ["solve", "g.rbr", "--", "-1"],
+    ["export-dot", "-h"],
+    ["export-dot", "g.rbr", "--", "x"],
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parsing ``argv`` gives: the namespace or the exit code, and
+    the captured stdout and stderr."""
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_command_parser_parses_as_the_full_one(argv, capsys):
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    full = _parse_outcome(build_parser(), argv, capsys)
+    assert _parse_outcome(build_parser(command), argv, capsys) == full
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return tuple(sub.choices)
+
+
+def test_build_parser_builds_only_the_named_subparser():
+    assert _subcommands(build_parser()) == COMMANDS
+    for name in COMMANDS:
+        assert _subcommands(build_parser(name)) == (name,)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_top_level_errors_name_the_command_argument(argv, message, capsys):
+    code, captured = _parse_outcome(build_parser(), argv, capsys)
+    assert code == 2
+    assert captured.err.splitlines()[-1].startswith(f"rbr: error: {message}")
 
 
 def test_package_imports_only_the_standard_library():

@@ -1,5 +1,6 @@
 import pytest
 
+import rbr.solve
 from rbr import (
     belief_scene,
     doxastic_rationalisability,
@@ -108,9 +109,21 @@ def test_iterate_rejects_bad_solution(b1, guess):
 def test_iterate_and_is_stable_want_frozenset_entries(b2, guess, entry):
     # A list or set entry lies inside its space, but the solver hashes it.
     s = (frozenset({1, 2}), entry)
-    for call in (lambda: iterate(b2, guess, s, 1), lambda: is_stable(b2, guess, s)):
+    for call in (lambda: rationalise(b2, guess, s),
+                 lambda: iterate(b2, guess, s, 1),
+                 lambda: is_stable(b2, guess, s)):
         with pytest.raises(InvalidSolution, match="^node 1 entry is not a nonempty frozenset"):
             call()
+
+
+def test_rational_solution_checks_no_entry(b1, guess, monkeypatch):
+    # The solver's rounds, full passes included, keep only the cover check.
+    passes = []
+    original = rbr.solve.rationalise
+    monkeypatch.setattr(rbr.solve, "check_solution", None)
+    monkeypatch.setattr(rbr.solve, "rationalise", lambda *args: passes.append(args) or original(*args))
+    assert rational_solution(b1, guess).solution == (frozenset({1}),) * 3
+    assert passes
 
 
 def test_rationalise_rejects_a_short_solution(b2, guess):
