@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,14 +308,15 @@ def _parse_game_layout(text: str) -> Game | None:
     The layout is the header, the ``agents`` line and one ``strategies``
     line per agent in agent order, then only ``utility`` lines in any
     order, with one space between tokens, ``"\n"`` after every line and
-    no ``#``.  The utility lines are split once into strided columns and
-    count only if those columns, joined back with spaces and line ends,
-    give them exactly.  Each distinct utility text is checked and
-    converted once.  A bad value, a token outside its agent's space, a
-    repeated entry, or fewer entries than agents times profiles returns
-    None too, so the line parser reports the error with its message and
-    line.  A repeated agent name or strategy token needs no check of its
-    own: it leaves fewer distinct entries than that count.
+    no ``#``.  Each utility line is cut once at its last space into a key
+    and a value.  The document is in the layout only if the keys are
+    exactly the texts ``utility <agent> <token-per-agent>`` of every
+    agent and profile, each once, and every value is a utility text;
+    the values read in that order are the flat table's.  Each distinct
+    utility text is checked and converted once.  Any other document,
+    one that repeats an agent name or a strategy token included, returns
+    None, so the line parser reads it or reports its error with its
+    message and line.
     """
     if "#" in text:
         return None
@@ -327,6 +327,8 @@ def _parse_game_layout(text: str) -> Game | None:
     agents = tuple(names[1:])
     if names[:1] != ["agents"] or not agents or " ".join(names) != head[1]:
         return None
+    if len(set(agents)) != len(agents):
+        return None
     k = len(agents)
     lines = head[2].split("\n", k)
     if len(lines) <= k:
@@ -336,39 +338,24 @@ def _parse_game_layout(text: str) -> Game | None:
         words = line.split()
         if words[:2] != ["strategies", name + ":"] or len(words) < 3:
             return None
-        if " ".join(words) != line:
+        space = tuple(words[2:])
+        if " ".join(words) != line or len(set(space)) != len(space):
             return None
-        spaces.append(tuple(words[2:]))
+        spaces.append(space)
 
-    body = lines[k]
-    words = body.split()
-    width = k + 3
-    columns = [words[i::width] for i in range(width)]
-    if "\n".join(map(" ".join, zip(*columns))) + "\n" != body:
+    body = lines[k].split("\n")
+    if body.pop() != "" or len(body) != k * math.prod(map(len, spaces)):
         return None
-    kinds, owners, profiles, values = columns[0], columns[1], columns[2:-1], columns[-1]
-    if kinds.count("utility") != len(kinds):
-        return None
-    if len(kinds) != k * math.prod(map(len, spaces)):
-        return None
+    # As many lines as expected keys, each expected key on one of them:
+    # then each line holds a different key.  A line with no space fails
+    # the dict's pair check.
+    expected = map(" ".join, itertools.product(("utility",), agents, *spaces))
     try:
-        rationals = {value: _utility_value(0, value) for value in set(values)}
-    except GraphSyntaxError:
+        table = dict(map(str.rsplit, body, itertools.repeat(" "), itertools.repeat(1)))
+        texts = list(map(table.__getitem__, expected))
+        rationals = {value: _utility_value(0, value) for value in set(texts)}
+    except (ValueError, KeyError, GraphSyntaxError):
         return None
-    # Flat index: owner id, then strategy positions, in mixed radix.
-    agent_id = {name: a for a, name in enumerate(agents)}
-    try:
-        key = list(map(agent_id.__getitem__, owners))
-        for column, space in zip(profiles, spaces):
-            pos = {token: i for i, token in enumerate(space)}
-            key = list(map(operator.add, map(operator.mul, key, itertools.repeat(len(space))),
-                           map(pos.__getitem__, column)))
-    except KeyError:
-        return None
-    table = dict(zip(key, values))
-    if len(table) != len(key):
-        return None
-    texts = list(map(table.__getitem__, range(len(key))))
     return _table_game(agents, spaces, texts, rationals)
 
 

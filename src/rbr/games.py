@@ -14,6 +14,7 @@ import operator
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
@@ -44,7 +45,7 @@ class Game:
 
     A utility may carry ``utility.respond(a, scene)``, the exact set of
     agent ``a``'s undominated strategies in a scene that has passed the
-    scene check (:func:`_scene_picks`) and the cell cap;
+    scene check (:func:`_check_scene`) and the cell cap;
     :func:`rational_response` then returns it and builds no class table.
     The builtin games give one in closed form.  Table games carry
     ``utility.rows(a)``, :func:`_payoff_classes`' int rows.  Both belong to
@@ -63,6 +64,13 @@ class Game:
     @property
     def num_agents(self) -> int:
         return len(self.agents)
+
+    @cached_property
+    def space_sets(self) -> tuple[frozenset, ...]:
+        """Each agent's strategy space as a frozenset; equal spaces are
+        one object, so a solve can compare its entries by identity."""
+        interned: dict = {}
+        return tuple(interned.setdefault(sp, sp) for sp in map(frozenset, self.strategies))
 
 
 def utility_game(
@@ -88,8 +96,9 @@ def utility_game(
 class ReasoningScene:
     """Per-opponent nonempty strategy subsets entertained by ``owner``.
 
-    ``opponents[b]`` is the set believed possible for agent ``b``; the
-    entry at the owner's own index is unused and empty.
+    ``opponents[b]``, a set or frozenset, is the set believed possible
+    for agent ``b``; the entry at the owner's own index is unused and
+    empty.
     """
 
     owner: int
@@ -112,7 +121,7 @@ def full_scene(game: Game, a: int) -> ReasoningScene:
 
 def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
     """Freeze ``owner``'s reasoning scene, ``opponent_sets[b]`` for each
-    other agent ``b``, and run the one scene check (:func:`_scene_picks`)
+    other agent ``b``, and run the one scene check (:func:`_check_scene`)
     on it.  A missing set, or one that is not a collection of strategies,
     raises ForeignStrategy naming its agent."""
     opponents = [frozenset()] * game.num_agents
@@ -128,36 +137,46 @@ def make_scene(game: Game, owner: int, opponent_sets) -> ReasoningScene:
                 f"opponent set for agent {b} is not a collection of strategies"
             ) from None
     scene = ReasoningScene(owner=owner, opponents=tuple(opponents))
-    _scene_picks(game, owner, scene)
+    _check_scene(game, owner, scene)
     return scene
 
 
-def _scene_picks(game: Game, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
+def _check_scene(game: Game, a: int, scene: ReasoningScene) -> None:
     """The one scene check.  Raises SceneOwnerMismatch unless ``scene`` is
     agent ``a``'s and ``a`` is an agent id of ``game``, and ForeignStrategy
-    unless the scene has one slot per agent and each opponent set is
-    nonempty and inside its space.  Returns, per opponent of ``a`` in
-    order, its space's size and the indices of the strategies allowed."""
+    unless the scene's opponents are a tuple with one slot per agent and
+    each opponent's slot is a nonempty set or frozenset inside its space."""
     if scene.owner != a:
-        raise SceneOwnerMismatch(f"scene owned by {scene.owner}, not {a}")
+        raise SceneOwnerMismatch(f"scene owned by {scene.owner!r}, not {a!r}")
     if stray_id((a,), game.num_agents) is not None:
         raise SceneOwnerMismatch(f"no agent {a!r} among {game.num_agents} agents")
-    if len(scene.opponents) != game.num_agents:
+    opponents = scene.opponents
+    if not isinstance(opponents, tuple):
+        raise ForeignStrategy(f"opponent sets of agent {a}'s scene are not a tuple")
+    if len(opponents) != game.num_agents:
         raise ForeignStrategy(
-            f"scene has {len(scene.opponents)} opponent slots for {game.num_agents} agents"
+            f"scene has {len(opponents)} opponent slots for {game.num_agents} agents"
         )
-    picks = []
-    for b, space in enumerate(game.strategies):
+    for b, (allowed, space) in enumerate(zip(opponents, game.space_sets)):
         if b == a:
             continue
-        allowed = scene.opponents[b]
-        picked = [i for i, s in enumerate(space) if s in allowed]
-        if not picked or len(picked) != len(allowed):
+        if not isinstance(allowed, (set, frozenset)):
+            raise ForeignStrategy(f"opponent set for agent {b} is not a set")
+        if not (allowed and allowed <= space):
             raise ForeignStrategy(
                 f"opponent set for agent {b} is empty or leaves its space"
             )
-        picks.append((len(space), picked))
-    return picks
+
+
+def _scene_picks(game: Game, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
+    """Per opponent of ``a`` in order, its space's size and the indices of
+    the strategies ``scene``, a scene that has passed the scene check
+    (:func:`_check_scene`), allows."""
+    return [
+        (len(space), [i for i, s in enumerate(space) if s in allowed])
+        for b, (allowed, space) in enumerate(zip(scene.opponents, game.strategies))
+        if b != a
+    ]
 
 
 def dominates(
@@ -170,10 +189,11 @@ def dominates(
     """True iff ``s_prime`` strictly beats ``s`` on every opponent profile.
 
     Equivalence and incomparability on any profile both defeat dominance.
-    Raises as the scene check (:func:`_scene_picks`) does, ForeignStrategy
+    Raises as the scene check (:func:`_check_scene`) does, ForeignStrategy
     when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap beyond
     ``DEFAULT_PROFILE_CAP`` opponent profiles.
     """
+    _check_scene(game, a, scene)
     picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
@@ -244,14 +264,14 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
     """Undominated strategies of ``a`` in ``scene``; never empty when
     ``a``'s space is not.
 
-    Raises as the scene check (:func:`_scene_picks`) does.  Utility games
+    Raises as the scene check (:func:`_check_scene`) does.  Utility games
     have at most ``DEFAULT_PROFILE_CAP`` payoff-table cells (else
     SizeCap).  A utility with ``respond`` answers the checked scene
     itself; any other is solved on the agent's integer payoff table
     quotiented by equal columns: the vectors compared hold one entry per
     column class the scene hits.  Compare-only games use pairwise :func:`dominates` checks.
     """
-    picks = _scene_picks(game, a, scene)
+    _check_scene(game, a, scene)
     space = game.strategies[a]
     if game.utility is None:
         survivors = []
@@ -266,7 +286,7 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
     respond = getattr(game.utility, "respond", None)
     if respond is not None:
         return respond(a, scene)
-    hit = _scene_classes(game, a, picks)
+    hit = _scene_classes(game, a, _scene_picks(game, a, scene))
     vectors = list(zip(*map(_payoff_classes(game, a)[1].__getitem__, hit)))
     sums = list(map(sum, vectors))
     # A strict dominator has a larger sum over classes, and a dominated

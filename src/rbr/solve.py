@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import ne
+from operator import is_not
 
 from .errors import AgentMissingFromGame, InvalidSolution, NonTermination
 from .games import Game, ReasoningScene, rational_response
@@ -42,7 +42,7 @@ def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
     frozenset inside its node's space (the solver hashes entries, so a
     set or a list would fail there)."""
     _check_cover(g, game, s)
-    spaces = [frozenset(space) for space in game.strategies]
+    spaces = game.space_sets
     for n, (entry, a) in enumerate(zip(s, g.labels)):
         if not isinstance(entry, frozenset) or not entry or not entry <= spaces[a]:
             raise InvalidSolution(f"node {n} entry is not a nonempty frozenset in its space")
@@ -51,8 +51,7 @@ def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
 def full_solution(g: RbrGraph, game: Game) -> Solution:
     """The solution assigning every node its agent's whole strategy space."""
     check_compatible(g, game)
-    spaces = [frozenset(space) for space in game.strategies]
-    return tuple(map(spaces.__getitem__, g.labels))
+    return tuple(map(game.space_sets.__getitem__, g.labels))
 
 
 def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene:
@@ -61,8 +60,7 @@ def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene
     built as the solver builds it (:func:`_key_scene`)."""
     g.check_node(n)
     _check_cover(g, game, s)
-    spaces = [frozenset(space) for space in game.strategies]
-    return _key_scene(next(successor_keys(g, g.labels, s, spaces, [n])))
+    return _key_scene(next(successor_keys(g, g.labels, s, game.space_sets, [n])))
 
 
 class _ResponseMemo(dict):
@@ -72,15 +70,21 @@ class _ResponseMemo(dict):
     entry of its successor, or that agent's full space where there is
     none.  A key not yet in the memo is answered on the scene it fixes
     and kept, so each key is answered once however often it is met.
+
+    Answers are interned in ``interned``, seeded with the game's
+    ``space_sets``, so within one solve equal entries are one object and
+    the solver compares entries by identity.
     """
 
     def __init__(self, game: Game):
         super().__init__()
         self.game = game
+        self.interned = {space: space for space in game.space_sets}
 
     def __missing__(self, key: tuple) -> frozenset:
         scene = _key_scene(key)
-        self[key] = answer = rational_response(self.game, scene.owner, scene)
+        answer = rational_response(self.game, scene.owner, scene)
+        self[key] = answer = self.interned.setdefault(answer, answer)
         return answer
 
 
@@ -123,8 +127,7 @@ def _responses(
 
     The keys stream through the memo one at a time: a key met before is
     dropped at once, so no tuple per node stays alive."""
-    spaces = [frozenset(space) for space in game.strategies]
-    return map(memo.__getitem__, successor_keys(g, g.labels, s, spaces, nodes))
+    return map(memo.__getitem__, successor_keys(g, g.labels, s, game.space_sets, nodes))
 
 
 def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
@@ -137,7 +140,7 @@ def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
 
 
 def is_stable(g: RbrGraph, game: Game, s: Solution) -> bool:
-    return rationalise(g, game, s) == s
+    return rationalise(g, game, s) == tuple(s)
 
 
 @dataclass(frozen=True)
@@ -236,15 +239,16 @@ def _dirty_round(
     nxt = list(s)
     changed = []
     for v, entry in zip(dirty, _responses(g, game, s, memo, dirty)):
-        if entry != s[v]:
+        if entry is not s[v]:
             nxt[v] = entry
             changed.append(v)
     return tuple(nxt), changed
 
 
 def _changed(old: Solution, new: Solution) -> list[int]:
-    """The nodes whose entry differs from ``old`` to ``new``."""
-    return list(compress(range(len(new)), map(ne, old, new)))
+    """The nodes whose entry differs from ``old`` to ``new``, two
+    solutions of one solve, whose equal entries are one object."""
+    return list(compress(range(len(new)), map(is_not, old, new)))
 
 
 def doxastic_rationalisability(g: RbrGraph, game: Game) -> tuple:
@@ -257,6 +261,6 @@ def _designated_entries(g: RbrGraph, game: Game, s: Solution) -> tuple:
     """Per agent, the entry of ``s`` at its designated node, or its full
     strategy space when it has none."""
     return tuple(
-        s[n] if n != NO_NODE else frozenset(game.strategies[a])
+        s[n] if n != NO_NODE else game.space_sets[a]
         for a, n in enumerate(g.designated)
     )

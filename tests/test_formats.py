@@ -167,6 +167,26 @@ def test_parse_game_duplicate_strategy_token():
         parse_game(doc)
 
 
+@pytest.mark.parametrize("old, new, error, message", [
+    ("agents a b", "agents a a", DuplicateDeclaration, "line 2: agent a repeated"),
+    ("strategies b: x y", "strategies b: x x", DuplicateStrategy,
+     "line 4: repeated strategy token for b"),
+])
+def test_table_reader_leaves_repeated_names_to_the_line_parser(old, new, error, message):
+    """A repeated agent name or strategy token repeats expected keys; the
+    table reader returns None and the line parser reports it on its line."""
+    doc = GAME_DOC.replace(old, new)
+    assert formats._parse_game_layout(doc) is None
+    with pytest.raises(error, match=f"^{message}$"):
+        parse_game(doc)
+
+
+def test_table_reader_leaves_a_double_space_to_the_line_parser():
+    doc = GAME_DOC.replace("utility a x y 1/2", "utility a x y  1/2")
+    assert formats._parse_game_layout(doc) is None
+    assert _game_outcome(parse_game, doc) == _game_outcome(parse_game, GAME_DOC)
+
+
 def test_parse_game_reports_the_line_of_an_unknown_strategy_token():
     lines = GAME_DOC.splitlines(keepends=True)
     doc = "".join(lines[:6] + ["utility b x z 1\n"] + lines[6:])
@@ -429,15 +449,17 @@ def layout_game_documents(draw, value=None):
 
 
 def _game_outcome(parse, text):
-    """What ``parse`` makes of a game document: the agents, spaces and
-    every utility, or its error's class, message and line."""
+    """What ``parse`` makes of a game document: the agents, spaces, every
+    utility and every agent's int rows, or its error's class, message and
+    line."""
     try:
         game = parse(text)
     except FormatError as exc:
         return type(exc), str(exc), exc.line
     profiles = list(itertools.product(*game.strategies))
     return game.agents, game.strategies, [
-        game.utility(a, o) for a in range(game.num_agents) for o in profiles]
+        game.utility(a, o) for a in range(game.num_agents) for o in profiles], [
+        game.utility.rows(a) for a in range(game.num_agents)]
 
 
 @given(layout_game_documents())

@@ -189,6 +189,51 @@ def test_make_scene_with_a_malformed_opponent_set_names_the_agent(entries):
         make_scene(game, 0, {1: entries, 2: [1]})
 
 
+@pytest.mark.parametrize("per_cell", [False, True], ids=["respond", "class table"])
+def test_scene_slots_are_checked_by_set_inclusion(per_cell):
+    """A slot is read as a set: ``{True}`` equals ``{1}``, so it is inside
+    the space ``(0, 1)`` on every path that reads a scene."""
+    game = make_binary_game(("a", "b"))
+    if per_cell:
+        game = _per_cell(game)
+    scene = ReasoningScene(0, (frozenset(), {True}))
+    assert make_scene(game, 0, {1: {True}}) == make_scene(game, 0, {1: {1}})
+    assert rational_response(game, 0, scene) == {1}
+    assert dominates(game, 0, scene, 0, 1)
+
+
+@pytest.mark.parametrize("slot", [5, None, [1], (1,), "1"],
+                         ids=["int", "None", "list", "tuple", "str"])
+def test_scene_slot_that_is_not_a_set_is_rejected(slot):
+    game = make_guess_average_game(3, 4)
+    scene = ReasoningScene(0, (frozenset(), slot, frozenset({1})))
+    for call in [
+        lambda: rational_response(game, 0, scene),
+        lambda: rational_response(_per_cell(game), 0, scene),
+        lambda: dominates(game, 0, scene, 1, 2),
+    ]:
+        with pytest.raises(ForeignStrategy, match="^opponent set for agent 1 is not a set$"):
+            call()
+
+
+@pytest.mark.parametrize("opponents", [None, 5, [frozenset(), {1}, {1}]],
+                         ids=["None", "int", "list"])
+def test_scene_whose_opponents_are_not_a_tuple_is_rejected(opponents):
+    game = make_guess_average_game(3, 4)
+    scene = ReasoningScene(0, opponents)
+    message = "^opponent sets of agent 0's scene are not a tuple$"
+    with pytest.raises(ForeignStrategy, match=message):
+        rational_response(game, 0, scene)
+    with pytest.raises(ForeignStrategy, match=message):
+        dominates(game, 0, scene, 1, 2)
+
+
+def test_scene_owner_mismatch_prints_both_ids_as_values():
+    game = make_guess_average_game(3, 4)
+    with pytest.raises(SceneOwnerMismatch, match="^scene owned by 0, not '0'$"):
+        rational_response(game, "0", full_scene(game, 0))
+
+
 def test_guess_target_on_a_midpoint_keeps_both_neighbours():
     # Five guessers: 4·9 = 12·(2·1 + 1), so opponents summing to 9 put the
     # target 2·9/12 = 3/2 midway between 1 and 2, and neither dominates.

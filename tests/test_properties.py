@@ -652,6 +652,28 @@ def test_solve_answers_each_scene_key_once(g, name, data):
     assert sum(rep.scenes_answered) == len(keys)
 
 
+def _one_object_per_value(entries) -> bool:
+    """True iff any two equal ``entries`` are one object."""
+    first: dict = {}
+    return all(first.setdefault(entry, entry) is entry for entry in entries)
+
+
+@given(refinement_inputs(), st.sampled_from([*sorted(SOLVE_GAMES), "table"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_equal_entries_of_one_solve_are_one_object(g, name, data):
+    """Within one solve, its trace included, and within one ``iterate``
+    from the full solution, equal entries are one object, so the solver
+    may compare them by identity."""
+    if name == "table":
+        game = data.draw(table_games(g.agents))
+    else:
+        game = SOLVE_GAMES[name](g.agents)
+    rep = rational_solution(g, game, keep_trace=True)
+    assert _one_object_per_value(itertools.chain.from_iterable(rep.trace))
+    rounds = data.draw(st.integers(0, rep.iterations + 1))
+    assert _one_object_per_value(iterate(g, game, full_solution(g, game), rounds))
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("case", ["blow-up", "chain"])
 def test_solve_keys_labels_then_predecessors_of_changes(case, scale, corpus3):

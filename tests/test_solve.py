@@ -11,6 +11,7 @@ from rbr import (
     make_guess_average_game,
     rational_solution,
     rationalise,
+    validate_graph,
 )
 from rbr.errors import AgentMissingFromGame, InvalidSolution
 from rbr.partition import disjoint_union
@@ -134,7 +135,13 @@ def test_rationalise_rejects_a_short_solution(b2, guess):
 
 def test_is_stable(b1, guess):
     assert is_stable(b1, guess, (frozenset({1}),) * 3)
+    assert is_stable(b1, guess, [frozenset({1})] * 3)
     assert not is_stable(b1, guess, full_solution(b1, guess))
+    mutual = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    for game in (make_binary_game(("a", "b")), make_guess_average_game(2, 5, agents=("a", "b"))):
+        fix = rational_solution(mutual, game).solution
+        assert is_stable(mutual, game, fix)
+        assert is_stable(mutual, game, list(fix))
 
 
 def test_rational_solution_reports(b1, b2, guess):
