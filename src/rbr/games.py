@@ -305,6 +305,13 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
     return frozenset(survivors)
 
 
+def _check_int(what: str, value) -> None:
+    """TooFewAgents naming ``value`` unless it is an ``int`` (a ``bool``
+    counts, as for an id)."""
+    if not isinstance(value, int):
+        raise TooFewAgents(f"{what} {value!r} is not an int")
+
+
 def _agent_names(count: int) -> tuple[str, ...]:
     letters = string.ascii_lowercase
     return tuple(
@@ -320,6 +327,8 @@ def make_guess_average_game(
     Utility is the negated exact distance to the target, so preferences
     decide ties such as 5 vs 6 against a target of 17/3 correctly.
     """
+    _check_int("guess-average agent count", agent_count)
+    _check_int("guess-average max", max_int)
     if agent_count < 2:
         raise TooFewAgents("guess-average needs at least two agents")
     if max_int < 1:
@@ -385,6 +394,7 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     """
     if len(agents) < 2:
         raise TooFewAgents("the sequence game needs at least two agents")
+    _check_int("sequence length bound", k)
     if k < 1:
         raise TooFewAgents("sequence length bound must be positive")
     num = len(agents)

@@ -155,8 +155,12 @@ def validate_graph(
     num_agents = len(agents)
     if not isinstance(num_nodes, int):
         raise GraphValidationError(f"node count {num_nodes!r} is not an int")
-    if len(labels) != num_nodes:
-        raise GraphValidationError(f"{len(labels)} labels for {num_nodes} nodes")
+    try:
+        count = len(labels)
+    except TypeError:
+        raise GraphValidationError(f"labels {labels!r} have no length") from None
+    if count != num_nodes:
+        raise GraphValidationError(f"{count} labels for {num_nodes} nodes")
     if node_names and len(node_names) != num_nodes:
         raise GraphValidationError(
             f"{len(node_names)} node names for {num_nodes} nodes"
@@ -198,6 +202,8 @@ def validate_graph(
         raise DanglingEdge((n, m)) from None
     succ = tuple(zip(*[iter(flat)] * num_agents))
 
+    if not isinstance(designation, Mapping):
+        raise GraphValidationError(f"designation {designation!r} is not a mapping")
     designated = [NO_NODE] * num_agents
     for a, n in designation.items():
         if stray_id((a,), num_agents) is not None:

@@ -56,11 +56,13 @@ def initial_partition(g: RbrGraph) -> Partition:
 
 
 def _check_label_respecting(g: RbrGraph, p: Partition) -> None:
-    """Reject a partition that does not cover ``g``'s nodes, counts its
-    blocks by anything but a non-negative int (a bool counts, as for an
-    id), or names a block by anything but an id below block_count
-    (:func:`~rbr.graph.stray_id`), or one whose blocks mix labels: every
-    node against its block's first member."""
+    """Reject anything but a Partition, and a partition that does not
+    cover ``g``'s nodes, counts its blocks by anything but a non-negative
+    int (a bool counts, as for an id), or names a block by anything but
+    an id below block_count (:func:`~rbr.graph.stray_id`), or one whose
+    blocks mix labels: every node against its block's first member."""
+    if not isinstance(p, Partition):
+        raise PartialMapping(f"{p!r} is not a Partition")
     if len(p.block_of) != g.num_nodes:
         raise PartialMapping(
             f"partition of {len(p.block_of)} nodes for a graph of {g.num_nodes}"
@@ -280,7 +282,11 @@ def check_local_isomorphism(
     """
     if ga.agents != gb.agents:
         raise AgentUniverseMismatch((ga.agents, gb.agents))
-    if len(alpha) != ga.num_nodes or stray_id(alpha, gb.num_nodes) is not None:
+    try:
+        covers = len(alpha) == ga.num_nodes
+    except TypeError:
+        covers = False
+    if not covers or stray_id(alpha, gb.num_nodes) is not None:
         raise PartialMapping("mapping must cover exactly the source node set")
     return (
         set(alpha) == set(gb.nodes())

@@ -28,20 +28,19 @@ def check_compatible(g: RbrGraph, game: Game) -> None:
         )
 
 
-def _check_cover(g: RbrGraph, game: Game, s: Solution) -> None:
-    """The one solution check: AgentMissingFromGame unless ``g`` and
-    ``game`` share their agents, InvalidSolution unless ``s`` covers ``g``."""
-    check_compatible(g, game)
-    if len(s) != g.num_nodes:
-        raise InvalidSolution("solution does not cover the node set")
-
-
 def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
-    """Raise as the one solution check (:func:`_check_cover`) does, and
-    InvalidSolution naming the node on an entry that is not a nonempty
-    frozenset inside its node's space (the solver hashes entries, so a
-    set or a list would fail there)."""
-    _check_cover(g, game, s)
+    """The one solution check: AgentMissingFromGame unless ``g`` and
+    ``game`` share their agents, InvalidSolution unless ``s`` covers
+    ``g``'s nodes, and InvalidSolution naming the node on an entry that
+    is not a nonempty frozenset inside its node's space (the solver
+    hashes entries, so a set or a list would fail there)."""
+    check_compatible(g, game)
+    try:
+        covers = len(s) == g.num_nodes
+    except TypeError:
+        covers = False
+    if not covers:
+        raise InvalidSolution("solution does not cover the node set")
     spaces = game.space_sets
     for n, (entry, a) in enumerate(zip(s, g.labels)):
         if not isinstance(entry, frozenset) or not entry or not entry <= spaces[a]:
@@ -57,9 +56,10 @@ def full_solution(g: RbrGraph, game: Game) -> Solution:
 def belief_scene(g: RbrGraph, game: Game, s: Solution, n: int) -> ReasoningScene:
     """Scene at node ``n``: successor entries where they exist, full spaces
     for agents not believed rational.  It is the scene of ``n``'s key,
-    built as the solver builds it (:func:`_key_scene`)."""
+    built as the solver builds it (:func:`_key_scene`), once ``s``
+    passes :func:`check_solution`."""
     g.check_node(n)
-    _check_cover(g, game, s)
+    check_solution(g, game, s)
     return _key_scene(next(successor_keys(g, g.labels, s, game.space_sets, [n])))
 
 
@@ -98,21 +98,10 @@ def _key_scene(key: tuple) -> ReasoningScene:
     return ReasoningScene(owner=owner, opponents=tuple(opponents))
 
 
-def rationalise(g: RbrGraph, game: Game, s: Solution, _memo=None) -> Solution:
-    """One rationalisation round: per-node rational response in its scene.
-
-    Each scene key is answered once; ``_memo``, a memo of the same game,
-    carries the answers over to later rounds.  A call without one checks
-    every entry (:func:`check_solution`); the rounds that pass one
-    check only the cover, their entries being the solver's own or
-    checked on entry.
-    """
-    if _memo is None:
-        check_solution(g, game, s)
-        _memo = _ResponseMemo(game)
-    else:
-        _check_cover(g, game, s)
-    return tuple(_responses(g, game, s, _memo))
+def rationalise(g: RbrGraph, game: Game, s: Solution) -> Solution:
+    """One rationalisation round: per-node rational response in its
+    scene, each scene key answered once (:func:`iterate` for i = 1)."""
+    return iterate(g, game, s, 1)
 
 
 def _responses(
@@ -131,16 +120,17 @@ def _responses(
 
 
 def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
-    """The i-th rationalisation of ``s`` (identity for i = 0)."""
+    """The i-th rationalisation of ``s`` (identity for i = 0): ``s`` is
+    checked once, and one memo serves the i rounds."""
     check_solution(g, game, s)
     memo = _ResponseMemo(game)
     for _ in range(i):
-        s = rationalise(g, game, s, memo)
+        s = tuple(_responses(g, game, s, memo))
     return s
 
 
 def is_stable(g: RbrGraph, game: Game, s: Solution) -> bool:
-    return rationalise(g, game, s) == tuple(s)
+    return iterate(g, game, s, 1) == tuple(s)
 
 
 @dataclass(frozen=True)
@@ -179,7 +169,7 @@ def rational_solution(
     which is also the fill where a node has no successor, so round 1
     keys the first node of each label and maps the answers over the
     labels.  After a round that changed every entry, the next is one
-    full :func:`rationalise` pass, which needs no predecessor lists.
+    full pass, which needs no predecessor lists.
     After any other round, the next keys the predecessors of the nodes
     whose entry changed; every other node keeps its key, and so its
     entry.
@@ -198,7 +188,7 @@ def rational_solution(
             nxt, count = _first_round(g, game, current, memo)
             changed = _changed(current, nxt)
         elif len(changed) == g.num_nodes:
-            nxt, count = rationalise(g, game, current, memo), g.num_nodes
+            nxt, count = tuple(_responses(g, game, current, memo)), g.num_nodes
             changed = _changed(current, nxt)
         else:
             dirty = set(chain.from_iterable(map(g.predecessors.__getitem__, changed)))

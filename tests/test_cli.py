@@ -454,13 +454,13 @@ def test_solve_trace_runs_one_fixpoint(paths, capsys, monkeypatch):
     import rbr.solve
 
     calls = []
-    original = rbr.solve.rationalise
+    original = rbr.solve.rational_response
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rbr.solve, "rationalise", counted)
+    monkeypatch.setattr(rbr.solve, "rational_response", counted)
     assert main(["solve", paths["b1"], "guess23:3:10"]) == 0
     plain = len(calls)
     plain_out = capsys.readouterr().out

@@ -282,6 +282,17 @@ def test_too_few_agents():
         make_sequence_game(["a"], 2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_guess_average_game(2, 5.5), "guess-average max 5.5 is not an int"),
+    (lambda: make_guess_average_game("2", 5), "guess-average agent count '2' is not an int"),
+    (lambda: make_sequence_game(("a", "b"), 2.5), "sequence length bound 2.5 is not an int"),
+], ids=["float max", "str count", "float length"])
+def test_builtin_constructors_name_a_bound_that_is_not_an_int(make, message):
+    with pytest.raises(TooFewAgents) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_alternating_sequence_spaces():
     g2 = make_sequence_game(["a", "b"], 2)
     assert set(g2.strategies[0]) == {Quit(0), (0,), (0, 1)}

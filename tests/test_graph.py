@@ -82,6 +82,17 @@ def test_rejects_a_designation_of_an_unknown_node():
     assert exc.type is GraphValidationError
 
 
+class _LabelsWithoutLength:
+    """Labels that iterate as an iterator does and, like one, have no
+    length; the repr keeps the test id fixed."""
+
+    def __iter__(self):
+        return iter((0, 1))
+
+    def __repr__(self):
+        return "<labels without a length>"
+
+
 @pytest.mark.parametrize("args, kind, message", [
     ((("a", "b"), 2, [0, 1], [(0, 1)], {0: 0.5}), GraphValidationError,
      "agent 0 designates unknown node 0.5"),
@@ -101,6 +112,10 @@ def test_rejects_a_designation_of_an_unknown_node():
      "node 1 has unknown agent label 0.5"),
     ((("a", "b"), 2, [0, 1.0], [], {0: 0}), GraphValidationError,
      "node 1 has unknown agent label 1.0"),
+    ((("a", "b"), 2, [0, 1], [(0, 1)], [0]), GraphValidationError,
+     "designation [0] is not a mapping"),
+    ((("a", "b"), 2, _LabelsWithoutLength(), [(0, 1)], {0: 0}), GraphValidationError,
+     "labels <labels without a length> have no length"),
 ])
 def test_rejects_ids_that_are_not_ints(args, kind, message):
     with pytest.raises(GraphValidationError) as exc:

@@ -96,6 +96,12 @@ def test_refine_and_quotient_reject_a_partition_of_the_wrong_length(b2):
             quotient(b2, p)
 
 
+def test_refine_and_quotient_reject_what_is_not_a_partition(b2):
+    for call in (refine_once, quotient):
+        with pytest.raises(PartialMapping, match="^None is not a Partition$"):
+            call(b2, None)
+
+
 def _first_mixing_block(g, p):
     """The block a label check names: that of the first node, in node
     order, whose label differs from the first member of its block."""
@@ -352,7 +358,8 @@ def test_check_local_isomorphism_matches_the_definition(case):
 
 
 def test_check_local_isomorphism_wants_total_map(b3):
-    for alpha in [(0, 1), (0, 1.0, 2), (0, "1", 2), (0, None, 2), (0, 3, 2), (0, -1, 2)]:
+    for alpha in [(0, 1), (0, 1.0, 2), (0, "1", 2), (0, None, 2), (0, 3, 2), (0, -1, 2),
+                  iter([0, 1, 2])]:
         with pytest.raises(PartialMapping):
             check_local_isomorphism(b3, b3, alpha)
 

@@ -80,6 +80,16 @@ def test_belief_scene_needs_a_full_solution(b1, guess):
         belief_scene(b1, guess, full_solution(b1, guess)[:-1], 0)
 
 
+@pytest.mark.parametrize("s", [5, None], ids=["int", "None"])
+def test_solution_calls_reject_a_solution_without_a_length(b2, guess, s):
+    for call in (lambda: belief_scene(b2, guess, s, 0),
+                 lambda: rationalise(b2, guess, s),
+                 lambda: iterate(b2, guess, s, 1),
+                 lambda: is_stable(b2, guess, s)):
+        with pytest.raises(InvalidSolution, match="^solution does not cover the node set$"):
+            call()
+
+
 def test_rationalise_rounds(b1, b2, guess):
     assert rationalise(b1, guess, full_solution(b1, guess)) == (
         frozenset(range(1, 8)),
@@ -110,7 +120,8 @@ def test_iterate_rejects_bad_solution(b1, guess):
 def test_iterate_and_is_stable_want_frozenset_entries(b2, guess, entry):
     # A list or set entry lies inside its space, but the solver hashes it.
     s = (frozenset({1, 2}), entry)
-    for call in (lambda: rationalise(b2, guess, s),
+    for call in (lambda: belief_scene(b2, guess, s, 0),
+                 lambda: rationalise(b2, guess, s),
                  lambda: iterate(b2, guess, s, 1),
                  lambda: is_stable(b2, guess, s)):
         with pytest.raises(InvalidSolution, match="^node 1 entry is not a nonempty frozenset"):
@@ -118,13 +129,11 @@ def test_iterate_and_is_stable_want_frozenset_entries(b2, guess, entry):
 
 
 def test_rational_solution_checks_no_entry(b1, guess, monkeypatch):
-    # The solver's rounds, full passes included, keep only the cover check.
-    passes = []
-    original = rbr.solve.rationalise
+    # The solver's rounds, full passes included, check no solution.
     monkeypatch.setattr(rbr.solve, "check_solution", None)
-    monkeypatch.setattr(rbr.solve, "rationalise", lambda *args: passes.append(args) or original(*args))
-    assert rational_solution(b1, guess).solution == (frozenset({1}),) * 3
-    assert passes
+    report = rational_solution(b1, guess)
+    assert report.solution == (frozenset({1}),) * 3
+    assert report.nodes_keyed[1] == b1.num_nodes  # round 2 is a full pass
 
 
 def test_rationalise_rejects_a_short_solution(b2, guess):
