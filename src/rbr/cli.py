@@ -3,6 +3,10 @@
 Subcommands: validate, minimize, equiv, solve, export-dot.  Exit codes:
 0 success (or "equivalent"), 1 negative verdict or invalid input,
 2 usage or I/O error, 3 internal invariant violation.
+
+A command line that starts with a command name is parsed by that
+command's parser alone; any other, or one with arguments left over, by
+the full parser, which reports the error.
 """
 
 from __future__ import annotations
@@ -185,66 +189,70 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-COMMANDS = ("validate", "minimize", "equiv", "solve", "export-dot")
+# name -> (its help in the full parser's command list, the function it runs)
+_COMMANDS = {
+    "validate": ("check a graph document", cmd_validate),
+    "minimize": ("compress to minimal canonical form", cmd_minimize),
+    "equiv": ("decide equivalence of two graphs", cmd_equiv),
+    "solve": ("doxastic rationalisability of a game", cmd_solve),
+    "export-dot": ("write DOT to standard output", cmd_export_dot),
+}
+COMMANDS = tuple(_COMMANDS)
+_AMBIGUOUS = ("-=", "--=")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``rbr`` parser, with every subcommand's parser, or with only
-    ``command``'s when it is one of :data:`COMMANDS`: an argv that starts
-    with a command name reads no other subparser.  The subparsers'
-    metavar then lists every command, so the usage line of a top-level
-    error is the full parser's.  The full parser keeps argparse's own
-    metavar, which its required and invalid-choice errors name."""
-    parser = argparse.ArgumentParser(
-        prog="rbr",
-        description="RBR graphs: validation, minimisation, equivalence, "
-        "and doxastic rationalisability.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    if command in COMMANDS:
-        built, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
-    else:
-        built, metavar = COMMANDS, None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if "validate" in built:
-        p = sub.add_parser("validate", help="check a graph document")
-        p.add_argument("graph")
-        p.set_defaults(run=cmd_validate)
-
-    if "minimize" in built:
-        p = sub.add_parser("minimize", help="compress to minimal canonical form")
-        p.add_argument("graph")
-        p.add_argument("--out", help="write the minimised graph to this path")
-        p.set_defaults(run=cmd_minimize)
-
-    if "equiv" in built:
-        p = sub.add_parser("equiv", help="decide equivalence of two graphs")
+def _command_parser(p: argparse.ArgumentParser, command: str):
+    """``p`` given ``command``'s arguments and the defaults that name and
+    run it: the one definition of each command's parser, standalone in
+    :func:`parse_args` and as a subparser in :func:`build_parser`."""
+    if command == "equiv":
         p.add_argument("graph_a")
         p.add_argument("graph_b")
-        p.set_defaults(run=cmd_equiv)
-
-    if "solve" in built:
-        p = sub.add_parser("solve", help="doxastic rationalisability of a game")
+    else:
         p.add_argument("graph")
+    if command == "minimize":
+        p.add_argument("--out", help="write the minimised graph to this path")
+    if command == "solve":
         p.add_argument(
             "game",
             help="game document path, or builtin spec: "
             "guess23:<agents>:<max> | gk:<k> | binary",
         )
         p.add_argument("--trace", action="store_true", help="print per-round sets")
-        p.set_defaults(run=cmd_solve)
+    p.set_defaults(run=_COMMANDS[command][1], command=command)
+    return p
 
-    if "export-dot" in built:
-        p = sub.add_parser("export-dot", help="write DOT to standard output")
-        p.add_argument("graph")
-        p.set_defaults(run=cmd_export_dot)
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``rbr`` parser, with every command's subparser."""
+    parser = argparse.ArgumentParser(
+        prog="rbr",
+        description="RBR graphs: validation, minimisation, equivalence, "
+        "and doxastic rationalisability.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(command, help=help_text), command)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the named command's parser
+    alone (the full parser's subparser, given the same ``argv[1:]``)
+    unless arguments are left over or one starts ``-=``/``--=``, which
+    argparse may read as an ambiguous prefix of the full parser's options."""
+    if argv and argv[0] in _COMMANDS and not any(a.startswith(_AMBIGUOUS) for a in argv):
+        parser = argparse.ArgumentParser(prog=f"rbr {argv[0]}")
+        args, rest = _command_parser(parser, argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.run(args)
     except (OSError, UnicodeError) as exc:

@@ -52,7 +52,7 @@ class UnknownNode(RbrError):
 
 
 class ZeroLength(RbrError):
-    """Path-sequence level must be at least 1."""
+    """Path-sequence level must be at least 1, a round count at least 0."""
 
 
 class SizeCap(RbrError):

@@ -9,11 +9,12 @@ solution reaches the rational solution, a fixpoint.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import is_not
 
-from .errors import AgentMissingFromGame, InvalidSolution, NonTermination
+from .errors import AgentMissingFromGame, InvalidSolution, NonTermination, ZeroLength
 from .games import Game, ReasoningScene, rational_response
 from .graph import NO_NODE, RbrGraph, successor_keys
 
@@ -30,16 +31,15 @@ def check_compatible(g: RbrGraph, game: Game) -> None:
 
 def check_solution(g: RbrGraph, game: Game, s: Solution) -> None:
     """The one solution check: AgentMissingFromGame unless ``g`` and
-    ``game`` share their agents, InvalidSolution unless ``s`` covers
-    ``g``'s nodes, and InvalidSolution naming the node on an entry that
-    is not a nonempty frozenset inside its node's space (the solver
-    hashes entries, so a set or a list would fail there)."""
+    ``game`` share their agents, InvalidSolution unless ``s`` is a
+    sequence (a set's order is arbitrary) that covers ``g``'s nodes, and
+    InvalidSolution naming the node on an entry that is not a nonempty
+    frozenset inside its node's space (the solver hashes entries, so a
+    set or a list would fail there)."""
     check_compatible(g, game)
-    try:
-        covers = len(s) == g.num_nodes
-    except TypeError:
-        covers = False
-    if not covers:
+    if not isinstance(s, Sequence):
+        raise InvalidSolution(f"solution of type {type(s).__name__} is not a sequence")
+    if len(s) != g.num_nodes:
         raise InvalidSolution("solution does not cover the node set")
     spaces = game.space_sets
     for n, (entry, a) in enumerate(zip(s, g.labels)):
@@ -121,7 +121,10 @@ def _responses(
 
 def iterate(g: RbrGraph, game: Game, s: Solution, i: int) -> Solution:
     """The i-th rationalisation of ``s`` (identity for i = 0): ``s`` is
-    checked once, and one memo serves the i rounds."""
+    checked once, and one memo serves the i rounds.  A round count that
+    is not an int (a bool counts) or is below 0 raises ZeroLength."""
+    if not isinstance(i, int) or i < 0:
+        raise ZeroLength(f"round count must be an int >= 0, got {i!r}")
     check_solution(g, game, s)
     memo = _ResponseMemo(game)
     for _ in range(i):

@@ -1,5 +1,6 @@
-import argparse
 import codecs
+import contextlib
+import io
 import itertools
 import os
 import random
@@ -7,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import rbr
+import rbr.cli
 from rbr import (
     NO_NODE,
     make_binary_game,
@@ -20,7 +24,7 @@ from rbr import (
     validate_graph,
 )
 from rbr import formats
-from rbr.cli import COMMANDS, build_parser, main
+from rbr.cli import COMMANDS, build_parser, main, parse_args
 from rbr.games import strategy_label
 from .conftest import ABC, blow_up, iterated_rationalise, random_graph
 
@@ -370,45 +374,90 @@ PARSE_CASES = [
     ["solve", "g.rbr", "--", "-1"],
     ["export-dot", "-h"],
     ["export-dot", "g.rbr", "--", "x"],
+    # `--` separators, abbreviations, `--opt=value`, leftover
+    # positionals and `-h` after arguments.
+    ["solve", "--", "g.rbr", "gk:2", "--trace"],
+    ["solve", "g.rbr", "gk:2", "--"],
+    ["minimize", "--", "g.rbr"],
+    ["validate", "--", "-1"],
+    ["solve", "g.rbr", "gk:2", "--trace"],
+    ["solve", "--tr", "g.rbr", "gk:2"],
+    ["solve", "g.rbr", "gk:2", "--t"],
+    ["solve", "g.rbr", "gk:2", "--trace=1"],
+    ["solve", "g.rbr", "gk:2", "--vers"],
+    ["minimize", "g.rbr", "--ou", "min.rbr"],
+    ["minimize", "g.rbr", "--out=min.rbr"],
+    ["minimize", "--out=x", "g.rbr"],
+    ["minimize", "g.rbr", "--ou=x"],
+    ["validate", "--he"],
+    ["equiv", "a.rbr", "b.rbr", "c.rbr"],
+    ["solve", "g.rbr", "gk:2", "extra"],
+    ["export-dot", "g.rbr", "extra"],
+    ["minimize", "a.rbr", "b.rbr", "--out", "x"],
+    ["validate", "g.rbr", "-h"],
+    ["solve", "g.rbr", "gk:2", "-h"],
+    ["minimize", "g.rbr", "--out", "x", "-h"],
+    ["equiv", "a.rbr", "b.rbr", "--help"],
+    ["export-dot", "-", "--bogus", "-h"],
+    # The full parser's own options make `--=x` ambiguous before its
+    # subparser runs (and `-=x` too, in some argparse versions).
+    ["validate", "g.rbr", "--=x"],
+    ["solve", "g.rbr", "gk:2", "-=x"],
 ]
 
 
-def _parse_outcome(parser, argv, capsys):
-    """What parsing ``argv`` gives: the namespace or the exit code, and
-    the captured stdout and stderr."""
-    try:
-        outcome = parser.parse_args(argv)
-    except SystemExit as exc:
-        outcome = exc.code
-    return outcome, capsys.readouterr()
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: the namespace or the exit code, and
+    what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = parse(argv)
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
-def test_one_command_parser_parses_as_the_full_one(argv, capsys):
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    full = _parse_outcome(build_parser(), argv, capsys)
-    assert _parse_outcome(build_parser(command), argv, capsys) == full
+def test_one_command_parser_parses_as_the_full_one(argv):
+    full = _parse_outcome(build_parser().parse_args, argv)
+    assert _parse_outcome(parse_args, argv) == full
 
 
-def _subcommands(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return tuple(sub.choices)
+VOCABULARY = [*COMMANDS, "-h", "--he", "--version", "--vers", "--trace", "--tr",
+              "--out", "--out=x", "--ou", "--", "-1", "-", "", "g.rbr", "gk:2"]
+WORDS = st.lists(st.sampled_from(VOCABULARY), max_size=6)
 
 
-def test_build_parser_builds_only_the_named_subparser():
-    assert _subcommands(build_parser()) == COMMANDS
-    for name in COMMANDS:
-        assert _subcommands(build_parser(name)) == (name,)
+@given(st.one_of(WORDS, st.tuples(st.sampled_from(COMMANDS), WORDS).map(
+    lambda t: [t[0], *t[1]])))
+@settings(max_examples=300, deadline=None)
+def test_main_parses_every_command_line_as_the_full_parser(argv):
+    assert _parse_outcome(parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+def test_well_formed_commands_build_no_full_parser(paths, tmp_path, capsys, monkeypatch):
+    def unbuilt():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(rbr.cli, "build_parser", unbuilt)
+    for argv in (["validate", paths["b1"]],
+                 ["minimize", paths["b5"], "--out", str(tmp_path / "min.rbr")],
+                 ["equiv", paths["b5"], paths["b3"]],
+                 ["solve", paths["b1"], "gk:2", "--trace"],
+                 ["export-dot", paths["b1"]]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
 ])
-def test_top_level_errors_name_the_command_argument(argv, message, capsys):
-    code, captured = _parse_outcome(build_parser(), argv, capsys)
+def test_top_level_errors_name_the_command_argument(argv, message):
+    code, _, err = _parse_outcome(build_parser().parse_args, argv)
     assert code == 2
-    assert captured.err.splitlines()[-1].startswith(f"rbr: error: {message}")
+    assert err.splitlines()[-1].startswith(f"rbr: error: {message}")
 
 
 def test_package_imports_only_the_standard_library():

@@ -13,7 +13,7 @@ from rbr import (
     rationalise,
     validate_graph,
 )
-from rbr.errors import AgentMissingFromGame, InvalidSolution
+from rbr.errors import AgentMissingFromGame, InvalidSolution, ZeroLength
 from rbr.partition import disjoint_union
 from rbr.solve import safety_bound
 from .conftest import ABC
@@ -86,8 +86,37 @@ def test_solution_calls_reject_a_solution_without_a_length(b2, guess, s):
                  lambda: rationalise(b2, guess, s),
                  lambda: iterate(b2, guess, s, 1),
                  lambda: is_stable(b2, guess, s)):
-        with pytest.raises(InvalidSolution, match="^solution does not cover the node set$"):
+        with pytest.raises(InvalidSolution,
+                           match=f"^solution of type {type(s).__name__} is not a sequence$"):
             call()
+
+
+@pytest.mark.parametrize("make", [set, frozenset, dict.fromkeys, iter, lambda s: (e for e in s)],
+                         ids=["set", "frozenset", "dict", "iterator", "generator"])
+def test_solution_calls_reject_a_solution_that_is_not_a_sequence(guess, make):
+    # A set of the two-node mutual graph's right length: its order, and so
+    # which node gets which entry, is arbitrary.
+    g = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    game = make_guess_average_game(2, 5, agents=("a", "b"))
+    full = full_solution(g, game)
+    for call in (lambda s: belief_scene(g, game, s, 0),
+                 lambda s: rationalise(g, game, s),
+                 lambda s: iterate(g, game, s, 1),
+                 lambda s: is_stable(g, game, s)):
+        with pytest.raises(InvalidSolution, match="^solution of type .* is not a sequence$"):
+            call(make([full[0], frozenset({1})]))
+
+
+@pytest.mark.parametrize("i", ["2", 1.5, -1, None], ids=["str", "float", "negative", "None"])
+def test_iterate_rejects_a_round_count_that_is_not_a_count(b1, guess, i):
+    with pytest.raises(ZeroLength, match=f"^round count must be an int >= 0, got {i!r}$"):
+        iterate(b1, guess, full_solution(b1, guess), i)
+
+
+def test_iterate_takes_a_bool_round_count(b1, guess):
+    full = full_solution(b1, guess)
+    assert iterate(b1, guess, full, True) == iterate(b1, guess, full, 1)
+    assert iterate(b1, guess, full, False) == full
 
 
 def test_rationalise_rounds(b1, b2, guess):
