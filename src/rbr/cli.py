@@ -4,9 +4,9 @@ Subcommands: validate, minimize, equiv, solve, export-dot.  Exit codes:
 0 success (or "equivalent"), 1 negative verdict or invalid input,
 2 usage or I/O error, 3 internal invariant violation.
 
-A command line that starts with a command name is parsed by that
-command's parser alone; any other, or one with arguments left over, by
-the full parser, which reports the error.
+A plain command line (a command name, its positionals and at most once
+its option in full) is read directly; any other goes to the full
+argparse parser, which parses it or reports the error.
 """
 
 from __future__ import annotations
@@ -189,38 +189,22 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-# name -> (its help in the full parser's command list, the function it runs)
+# name -> (its help in the full parser's command list, the function it
+# runs, its positionals with their help, its one option as (flag, whether
+# it takes a value, help) or None), for the full parser and plain reader.
 _COMMANDS = {
-    "validate": ("check a graph document", cmd_validate),
-    "minimize": ("compress to minimal canonical form", cmd_minimize),
-    "equiv": ("decide equivalence of two graphs", cmd_equiv),
-    "solve": ("doxastic rationalisability of a game", cmd_solve),
-    "export-dot": ("write DOT to standard output", cmd_export_dot),
+    "validate": ("check a graph document", cmd_validate, {"graph": None}, None),
+    "minimize": ("compress to minimal canonical form", cmd_minimize, {"graph": None},
+                 ("--out", True, "write the minimised graph to this path")),
+    "equiv": ("decide equivalence of two graphs", cmd_equiv,
+              {"graph_a": None, "graph_b": None}, None),
+    "solve": ("doxastic rationalisability of a game", cmd_solve,
+              {"graph": None, "game": "game document path, or builtin spec: "
+               "guess23:<agents>:<max> | gk:<k> | binary"},
+              ("--trace", False, "print per-round sets")),
+    "export-dot": ("write DOT to standard output", cmd_export_dot, {"graph": None}, None),
 }
 COMMANDS = tuple(_COMMANDS)
-_AMBIGUOUS = ("-=", "--=")
-
-
-def _command_parser(p: argparse.ArgumentParser, command: str):
-    """``p`` given ``command``'s arguments and the defaults that name and
-    run it: the one definition of each command's parser, standalone in
-    :func:`parse_args` and as a subparser in :func:`build_parser`."""
-    if command == "equiv":
-        p.add_argument("graph_a")
-        p.add_argument("graph_b")
-    else:
-        p.add_argument("graph")
-    if command == "minimize":
-        p.add_argument("--out", help="write the minimised graph to this path")
-    if command == "solve":
-        p.add_argument(
-            "game",
-            help="game document path, or builtin spec: "
-            "guess23:<agents>:<max> | gk:<k> | binary",
-        )
-        p.add_argument("--trace", action="store_true", help="print per-round sets")
-    p.set_defaults(run=_COMMANDS[command][1], command=command)
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,22 +216,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in _COMMANDS.items():
-        _command_parser(sub.add_parser(command, help=help_text), command)
+    for command, (help_text, run, positionals, option) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, arg_help in positionals.items():
+            p.add_argument(name, help=arg_help)
+        if option:
+            flag, takes_value, option_help = option
+            p.add_argument(flag, action="store" if takes_value else "store_true", help=option_help)
+        p.set_defaults(run=run, command=command)
     return parser
 
 
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The full parser's namespace for a plain command line, read without
+    argparse, or None for any other line.  A plain line is a command name,
+    then exactly its positionals and at most once its option spelled in
+    full (``--out`` with a value not starting ``-``), in any order, with
+    no other argument starting ``-``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, run, positionals, option = _COMMANDS[argv[0]]
+    words = argv[1:]
+    values = {"command": argv[0], "run": run}
+    if option:
+        flag, takes_value, _ = option
+        dest = flag[2:]
+        values[dest] = None if takes_value else False  # argparse's defaults
+        if flag in words:
+            at = words.index(flag)
+            del words[at]
+            if not takes_value:
+                values[dest] = True
+            elif at < len(words) and not words[at].startswith("-"):
+                values[dest] = words.pop(at)
+            else:
+                return None
+    if len(words) != len(positionals) or any(w.startswith("-") for w in words):
+        return None
+    values.update(zip(positionals, words))
+    return argparse.Namespace(**values)
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, by the named command's parser
-    alone (the full parser's subparser, given the same ``argv[1:]``)
-    unless arguments are left over or one starts ``-=``/``--=``, which
-    argparse may read as an ambiguous prefix of the full parser's options."""
-    if argv and argv[0] in _COMMANDS and not any(a.startswith(_AMBIGUOUS) for a in argv):
-        parser = argparse.ArgumentParser(prog=f"rbr {argv[0]}")
-        args, rest = _command_parser(parser, argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``, read directly when ``argv`` is
+    a plain command line (see :func:`_read_plain`)."""
+    return _read_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

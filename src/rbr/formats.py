@@ -20,6 +20,7 @@ from .errors import (
     DuplicateDeclaration,
     DuplicateStrategy,
     GraphSyntaxError,
+    GraphValidationError,
     MissingUtilityEntry,
     UnknownIdentifier,
 )
@@ -233,9 +234,40 @@ def read_graph(text: str) -> RbrGraph:
     return parse_rbr(text).validate()
 
 
+def _check_writable(kind: str, names) -> None:
+    """Raise GraphValidationError naming the first of ``names`` that a
+    graph document cannot carry: a non-``str``, an empty name, one with
+    whitespace or ``#``, or a repeat.  Valid names pass in C: they are
+    free of ``#``, split back into themselves and are distinct."""
+    try:
+        joined = " ".join(names)
+    except TypeError:  # a name that is not a str
+        joined = "#"
+    if "#" not in joined and joined.split() == list(names) and len(set(names)) == len(names):
+        return
+    seen = set()
+    for name in names:
+        if not isinstance(name, str):
+            problem = "not a string"
+        elif not name:
+            problem = "empty"
+        elif "#" in name or any(map(str.isspace, name)):
+            problem = "contains whitespace or '#'"
+        elif name in seen:
+            problem = "repeated"
+        else:
+            seen.add(name)
+            continue
+        raise GraphValidationError(f"cannot write {kind} name {name!r}: {problem}")
+
+
 def serialize_rbr(g: RbrGraph) -> str:
     """Canonical text form: agents, nodes by id, edges by (source,
-    target label), designations in agent order."""
+    target label), designations in agent order.  Raises
+    GraphValidationError for an agent or node name the format cannot
+    carry (see :func:`_check_writable`)."""
+    _check_writable("agent", g.agents)
+    _check_writable("node", g.node_names)
     out = ["agents " + " ".join(g.agents)]
     for n in g.nodes():
         out.append(f"node {g.node_names[n]} {g.agents[g.labels[n]]}")

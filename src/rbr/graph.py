@@ -150,7 +150,11 @@ def validate_graph(
     """
     if not agents:
         raise EmptyAgentUniverse("agent universe is empty")
-    if len(set(agents)) != len(agents) or any(not a for a in agents):
+    try:
+        unique = len(set(agents)) == len(agents)
+    except TypeError:
+        raise GraphValidationError(f"agents {agents!r} are not a sequence of names") from None
+    if not unique or any(not a for a in agents):
         raise EmptyAgentUniverse("agent display names must be unique and non-empty")
     num_agents = len(agents)
     if not isinstance(num_nodes, int):
@@ -161,10 +165,13 @@ def validate_graph(
         raise GraphValidationError(f"labels {labels!r} have no length") from None
     if count != num_nodes:
         raise GraphValidationError(f"{count} labels for {num_nodes} nodes")
-    if node_names and len(node_names) != num_nodes:
-        raise GraphValidationError(
-            f"{len(node_names)} node names for {num_nodes} nodes"
-        )
+    if node_names:
+        try:
+            named = len(node_names)
+        except TypeError:
+            raise GraphValidationError(f"node names {node_names!r} have no length") from None
+        if named != num_nodes:
+            raise GraphValidationError(f"{named} node names for {num_nodes} nodes")
     stray = stray_id(labels, num_agents)
     if stray is not None:
         n, a = stray

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import contextlib
 import io
@@ -403,6 +404,19 @@ PARSE_CASES = [
     # subparser runs (and `-=x` too, in some argparse versions).
     ["validate", "g.rbr", "--=x"],
     ["solve", "g.rbr", "gk:2", "-=x"],
+    # Plain lines with the option first or in the middle, and lines the
+    # plain reader leaves to the full parser: a repeated option, a value
+    # that starts with `-`.
+    ["solve", "--trace", "g.rbr", "gk:2"],
+    ["solve", "g.rbr", "--trace", "gk:2"],
+    ["minimize", "--out", "m.rbr", "g.rbr"],
+    ["minimize", "g.rbr", "--out", ""],
+    ["solve", "g.rbr", "gk:2", "--trace", "--trace"],
+    ["minimize", "g.rbr", "--out", "a.rbr", "--out", "b.rbr"],
+    ["minimize", "g.rbr", "--out", "-x"],
+    ["minimize", "g.rbr", "--out", "-"],
+    ["validate", "x y"],
+    ["equiv", "a=b", " x"],
 ]
 
 
@@ -420,34 +434,55 @@ def _parse_outcome(parse, argv):
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_one_command_parser_parses_as_the_full_one(argv):
+    """``parse_args``, by the plain reader or the full parser, gives the
+    full parser's namespace or exit code, stdout and stderr."""
     full = _parse_outcome(build_parser().parse_args, argv)
     assert _parse_outcome(parse_args, argv) == full
 
 
-VOCABULARY = [*COMMANDS, "-h", "--he", "--version", "--vers", "--trace", "--tr",
-              "--out", "--out=x", "--ou", "--", "-1", "-", "", "g.rbr", "gk:2"]
+VOCABULARY = [*COMMANDS, "-h", "--he", "--help", "--version", "--vers", "--trace", "--tr",
+              "-t", "-x", "--trace=1", "--out", "--out=x", "--ou", "--", "-1", "-", "",
+              "g.rbr", "gk:2", "a=b", "x y"]
 WORDS = st.lists(st.sampled_from(VOCABULARY), max_size=6)
 
 
+@st.composite
+def plain_lines(draw):
+    """A command, then its positionals and option in any order, each
+    positional and ``--out``'s value drawn from the whole vocabulary."""
+    command = draw(st.sampled_from(COMMANDS))
+    _, _, positionals, option = rbr.cli._COMMANDS[command]
+    words = [[draw(st.sampled_from(VOCABULARY))] for _ in positionals]
+    if option and draw(st.booleans()):
+        flag, takes_value, _ = option
+        words.append([flag, draw(st.sampled_from(VOCABULARY))] if takes_value else [flag])
+    return [command, *itertools.chain(*draw(st.permutations(words)))]
+
+
 @given(st.one_of(WORDS, st.tuples(st.sampled_from(COMMANDS), WORDS).map(
-    lambda t: [t[0], *t[1]])))
-@settings(max_examples=300, deadline=None)
+    lambda t: [t[0], *t[1]]), plain_lines()))
+@settings(max_examples=400, deadline=None)
 def test_main_parses_every_command_line_as_the_full_parser(argv):
     assert _parse_outcome(parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
 
 
-def test_well_formed_commands_build_no_full_parser(paths, tmp_path, capsys, monkeypatch):
-    def unbuilt():
-        raise AssertionError("the full parser was built")
+def test_plain_command_lines_build_no_parser(paths, tmp_path, capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
 
-    monkeypatch.setattr(rbr.cli, "build_parser", unbuilt)
+    monkeypatch.setattr(argparse, "ArgumentParser", unbuilt)
+    out = str(tmp_path / "min.rbr")
     for argv in (["validate", paths["b1"]],
-                 ["minimize", paths["b5"], "--out", str(tmp_path / "min.rbr")],
+                 ["minimize", paths["b5"]],
+                 ["minimize", paths["b5"], "--out", out],
+                 ["minimize", "--out", out, paths["b5"]],
                  ["equiv", paths["b5"], paths["b3"]],
+                 ["solve", paths["b1"], "gk:2"],
                  ["solve", paths["b1"], "gk:2", "--trace"],
+                 ["solve", "--trace", paths["b1"], "gk:2"],
                  ["export-dot", paths["b1"]]):
         assert main(argv) == 0, argv
-    assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == "", argv
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from rbr import (
+    NO_NODE,
     export_dot,
     full_scene,
     make_scene,
@@ -17,6 +18,7 @@ from rbr import (
     rational_response,
     read_graph,
     serialize_rbr,
+    validate_graph,
 )
 from rbr.errors import (
     DuplicateDeclaration,
@@ -230,6 +232,55 @@ def test_serialize_corpus_round_trip(corpus):
 def test_serialize_read_round_trip(g):
     text = serialize_rbr(g)
     assert serialize_rbr(read_graph(text)) == text
+
+
+def _renamed(g, agents, node_names):
+    return validate_graph(agents, g.num_nodes, g.labels, g.edges(),
+                          {a: n for a, n in enumerate(g.designated) if n != NO_NODE},
+                          node_names=node_names)
+
+
+@pytest.mark.parametrize("agents, node_names, message", [
+    (("a", "b"), ["x", "x"], "cannot write node name 'x': repeated"),
+    (("a", "b"), ["x y", "z"], "cannot write node name 'x y': contains whitespace or '#'"),
+    (("a", "b"), ["x", "#z"], "cannot write node name '#z': contains whitespace or '#'"),
+    (("a", "b"), ["", "z"], "cannot write node name '': empty"),
+    (("a", "b"), [1, 2], "cannot write node name 1: not a string"),
+    (("a b", "c"), ["x", "z"], "cannot write agent name 'a b': contains whitespace or '#'"),
+    (("a", 1), ["x", "z"], "cannot write agent name 1: not a string"),
+])
+def test_serialize_rejects_names_a_document_cannot_carry(agents, node_names, message):
+    g = _renamed(chain(2), agents, node_names)
+    with pytest.raises(GraphValidationError) as exc:
+        serialize_rbr(g)
+    assert exc.type is GraphValidationError
+    assert str(exc.value) == message
+
+
+# Names that a document carries, and names from characters that the line
+# format splits on or cuts at, and ints.
+WRITABLE_NAMES = st.text(st.sampled_from("ab_1é"), min_size=1, max_size=3)
+NAMES = st.one_of(st.text(st.sampled_from("ab#é \t\n\x1c\u2028"), max_size=3),
+                  st.integers(0, 2))
+
+
+@given(graphs(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_serialize_writes_only_names_that_read_back(g, writable, data):
+    names = WRITABLE_NAMES if writable else NAMES
+    agents = data.draw(st.lists(names, min_size=g.num_agents, max_size=g.num_agents,
+                                unique=True).filter(all))
+    node_names = data.draw(st.lists(names, min_size=g.num_nodes, max_size=g.num_nodes,
+                                    unique=writable))
+    h = _renamed(g, agents, node_names)
+    try:
+        text = serialize_rbr(h)
+    except GraphValidationError:
+        assert not writable
+        return
+    back = read_graph(text)
+    assert (back.agents, back.labels, back.succ, back.designated, back.node_names) == (
+        h.agents, h.labels, h.succ, h.designated, h.node_names)
 
 
 def test_serialized_graphs_take_the_layout_reader(corpus, b1, b2, b3, b4, b5):

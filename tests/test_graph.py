@@ -116,6 +116,8 @@ class _LabelsWithoutLength:
      "designation [0] is not a mapping"),
     ((("a", "b"), 2, _LabelsWithoutLength(), [(0, 1)], {0: 0}), GraphValidationError,
      "labels <labels without a length> have no length"),
+    ((5, 1, [0], [], {}), GraphValidationError, "agents 5 are not a sequence of names"),
+    ((("a",), 1, [0], [], {0: 0}, 5), GraphValidationError, "node names 5 have no length"),
 ])
 def test_rejects_ids_that_are_not_ints(args, kind, message):
     with pytest.raises(GraphValidationError) as exc:
