@@ -237,14 +237,7 @@ def read_graph(text: str) -> RbrGraph:
 def _check_writable(kind: str, names) -> None:
     """Raise GraphValidationError naming the first of ``names`` that a
     graph document cannot carry: a non-``str``, an empty name, one with
-    whitespace or ``#``, or a repeat.  Valid names pass in C: they are
-    free of ``#``, split back into themselves and are distinct."""
-    try:
-        joined = " ".join(names)
-    except TypeError:  # a name that is not a str
-        joined = "#"
-    if "#" not in joined and joined.split() == list(names) and len(set(names)) == len(names):
-        return
+    whitespace or ``#``, or a repeat."""
     seen = set()
     for name in names:
         if not isinstance(name, str):
