@@ -80,6 +80,12 @@ def _agents_line(lines: Iterator) -> tuple[tuple[str, ...], dict[str, int]]:
     return tuple(agent_id), agent_id
 
 
+def _check_text(text) -> None:
+    """Raise GraphSyntaxError at line 1 for a document that is not a ``str``."""
+    if not isinstance(text, str):
+        raise GraphSyntaxError(1, f"document must be a str, not {type(text).__name__}")
+
+
 def _known(lineno: int, ids: dict[str, int], kind: str, name: str) -> int:
     """The id of ``name``, which must be a declared ``kind`` (agent or
     node) name: one lookup rule for both line parsers."""
@@ -97,6 +103,7 @@ def parse_rbr(text: str) -> RawGraph:
     :func:`serialize_rbr` writes is read in bulk; any other document, and
     every error, goes through the line parser.
     """
+    _check_text(text)
     raw = _parse_layout(text)
     return raw if raw is not None else _parse_lines(text)
 
@@ -113,13 +120,14 @@ def _parse_layout(text: str) -> RawGraph | None:
 
     The layout is one ``agents`` line, then all ``node`` lines, then all
     ``edge`` lines, then all ``real`` lines, with one space between
-    tokens, ``"\\n"`` after every line and no ``#``.  The body is read in
-    slices cut at line ends, each split once into its kind, first and
-    second columns.  A slice counts only if its columns, joined back with
-    spaces and line ends, give it exactly: then its lines are the lines
-    the line parser would see.  A document the line parser would reject
-    (a repeated or unknown name, say) returns None too, so that parser
-    reports the error with its message and line.
+    tokens, ``"\\n"`` after every line and no ``#``.  Every piece of the
+    node and edge lines (see :func:`_columns`) is looked up among the
+    tokens expected there, and new node names must be non-empty and free
+    of whitespace: then those lines are exactly the line parser's, so a
+    failed lookup means "not the layout".  The few ``real`` lines count
+    if their tokens, joined back, give them.  Any other document, one
+    the line parser rejects included, returns None, so that parser reads
+    it or reports its error and line.
     """
     start = text.find("\n") + 1
     names = text[:start].split()
@@ -132,43 +140,36 @@ def _parse_layout(text: str) -> RawGraph | None:
         return None
     agents = tuple(names[1:])
     agent_id = {name: a for a, name in enumerate(agents)}
-    if len(agent_id) != len(agents):
-        return None
+    real = text.find("\nreal ", start - 1) + 1 or len(text)
+    edge = text.find("\nedge ", start - 1, real) + 1 or real
+    agent_of = {name + "\nnode": a for name, a in agent_id.items()}
     node_id: dict[str, int] = {}
     labels: list[int] = []
     sources: list[int] = []
     targets: list[int] = []
-    designation: dict[int, int] = {}
-
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        tokens = chunk.split()
-        kinds, firsts, seconds = tokens[0::3], tokens[1::3], tokens[2::3]
-        if "\n".join(map(" ".join, zip(kinds, firsts, seconds))) + "\n" != chunk:
+    try:
+        for new, agent_pieces in _columns(text, start, edge, "node"):
+            node_id.update(zip(new, range(len(labels), len(labels) + len(new))))
+            labels.extend(map(agent_of.__getitem__, agent_pieces))
+        joined = "".join(node_id)
+        if (len(agent_id) != len(agents) or len(node_id) != len(labels)
+                or "" in node_id or node_id and joined.split() != [joined]):
             return None
-        # Node lines run up to `mid`, edge lines up to `tail`, real lines
-        # to the end: within the slice, and across slices too.
-        mid = kinds.count("node")
-        tail = mid + kinds.count("edge")
-        layout = ["node"] * mid + ["edge"] * (tail - mid)
-        if kinds != layout + ["real"] * (len(kinds) - tail):
-            return None
-        if mid and (sources or designation) or tail > mid and designation:
-            return None
-        before = len(designation)
-        try:
-            node_id.update(zip(firsts[:mid], range(len(labels), len(labels) + mid)))
-            labels.extend(map(agent_id.__getitem__, seconds[:mid]))
-            sources.extend(map(node_id.__getitem__, firsts[mid:tail]))
-            targets.extend(map(node_id.__getitem__, seconds[mid:tail]))
-            designation.update(zip(map(agent_id.__getitem__, firsts[tail:]),
-                                   map(node_id.__getitem__, seconds[tail:])))
-        except KeyError:
-            return None
-        if len(node_id) != len(labels) or len(designation) - before != len(kinds) - tail:
-            return None
+        # No name holds a space, so this split gives each name + "\nedge".
+        suffixed = ("\nedge ".join(node_id) + "\nedge").split(" ")
+        node_of = dict(zip(suffixed, range(len(labels))))
+        for from_pieces, to_pieces in _columns(text, edge, real, "edge"):
+            sources.extend(map(node_id.__getitem__, from_pieces))
+            targets.extend(map(node_of.__getitem__, to_pieces))
+        tokens = text[real:].split()
+        reals, nodes = tokens[1::3], tokens[2::3]
+        designation = dict(zip(map(agent_id.__getitem__, reals),
+                               map(node_id.__getitem__, nodes)))
+    except KeyError:
+        return None
+    if (len(designation) != len(reals)
+            or "".join(map("real {} {}\n".format, reals, nodes)) != text[real:]):
+        return None
 
     return RawGraph(
         agents=agents,
@@ -178,6 +179,21 @@ def _parse_layout(text: str) -> RawGraph | None:
         targets=tuple(targets),
         designation=designation,
     )
+
+
+def _columns(text: str, start: int, stop: int, word: str):
+    """The two argument columns of each slice of the ``word`` lines in
+    ``text[start:stop]``: the slice, ``word`` appended, split on ``" "``
+    and its leading ``word`` cut, so each line's last token comes out
+    joined to the next line's directive (``"nb\\nedge"``).  A slice that
+    is not ``word`` lines raises KeyError, as a failed lookup does."""
+    while start < stop:
+        end = text.find("\n", start + _CHUNK - 1, stop) + 1 or stop
+        pieces = (text[start:end] + word).split(" ")
+        start = end
+        if pieces[0] != word or len(pieces) % 2 == 0:
+            raise KeyError(word)
+        yield pieces[1::2], pieces[2::2]
 
 
 def _parse_lines(text: str) -> RawGraph:
@@ -282,7 +298,12 @@ def _dot_quoted(text: str) -> str:
 
 def export_dot(g: RbrGraph) -> str:
     """DOT rendering: designated nodes solid, doxastic nodes dashed,
-    node text is the agent name.  Node IDs and labels are always quoted."""
+    node text is the agent name.  Node IDs and labels are always quoted,
+    so any ``str`` will do; any other name raises GraphValidationError."""
+    for kind, names in (("agent", g.agents), ("node", g.node_names)):
+        for name in names:
+            if not isinstance(name, str):
+                raise GraphValidationError(f"cannot write {kind} name {name!r}: not a string")
     ids = [_dot_quoted(name) for name in g.node_names]
     out = ["digraph rbr {"]
     for n in g.nodes():
@@ -323,6 +344,7 @@ def parse_game(text: str) -> Game:
     the layout :func:`_parse_game_layout` describes is read in bulk; any
     other document, and every error, goes through the line parser.
     """
+    _check_text(text)
     game = _parse_game_layout(text)
     return game if game is not None else _parse_game_lines(text)
 

@@ -79,6 +79,15 @@ def test_missing_agents_line():
         parse_rbr("node na a\n")
 
 
+@pytest.mark.parametrize("parse", [parse_rbr, read_graph, parse_game])
+@pytest.mark.parametrize("document", [None, b"agents a\n", b"game normal-form\n", 5])
+def test_a_document_that_is_not_a_str_is_a_syntax_error_at_line_1(parse, document):
+    with pytest.raises(GraphSyntaxError) as exc:
+        parse(document)
+    assert exc.type is GraphSyntaxError and exc.value.line == 1
+    assert str(exc.value) == f"line 1: document must be a str, not {type(document).__name__}"
+
+
 def test_parse_validate_separation():
     doc = "agents a b\nnode n1 a\nedge n1 n1\nreal a n1\n"
     raw = parse_rbr(doc)  # parses fine
@@ -130,6 +139,30 @@ def test_export_dot_quotes_ids_and_labels():
         '  "a\\"b" [label="a", style=dashed];\n'
         '  "n-1" -> "2x";\n'
         '  "2x" -> "a\\"b";\n'
+        '}\n'
+    )
+
+
+@pytest.mark.parametrize("agents, node_names, message", [
+    (("a", "b"), [1, 2], "cannot write node name 1: not a string"),
+    (("a", 2), ["x", "z"], "cannot write agent name 2: not a string"),
+    (("a", 2), [1, "z"], "cannot write agent name 2: not a string"),
+])
+def test_export_dot_rejects_names_that_are_not_strings(agents, node_names, message):
+    g = _renamed(chain(2), agents, node_names)
+    with pytest.raises(GraphValidationError) as exc:
+        export_dot(g)
+    assert exc.type is GraphValidationError
+    assert str(exc.value) == message
+
+
+def test_export_dot_quotes_any_str():
+    g = _renamed(chain(2), ("a b", "#"), ["", "x\ny"])
+    assert export_dot(g) == (
+        'digraph rbr {\n'
+        '  "" [label="a b", style=solid];\n'
+        '  "x\ny" [label="#", style=solid];\n'
+        '  "" -> "x\ny";\n'
         '}\n'
     )
 
@@ -294,7 +327,8 @@ def test_serialized_graphs_take_the_layout_reader(corpus, b1, b2, b3, b4, b5):
 LAYOUT_MUTATIONS = ["none", "swap kinds", "real before edge", "doubled space",
                     "tab", "crlf", "no final newline", "name with #",
                     "node named node", "node named edge", "duplicate line",
-                    "unknown agent", "unknown node", "unknown directive"]
+                    "unknown agent", "unknown node", "unknown directive",
+                    "shifted token", "agent named node", "agent named edge"]
 
 
 def _mutated(text: str, mutation: str, pick: int, lo: int) -> tuple[str, bool]:
@@ -331,6 +365,15 @@ def _mutated(text: str, mutation: str, pick: int, lo: int) -> tuple[str, bool]:
             return text, False
         lines[i], lines[j] = lines[j], lines[i]
         return text_of(lines), True
+    if mutation == "shifted token":
+        # The line's last token opens the next line's arguments: the token
+        # count and every third token stay, and the line parser rejects
+        # the shortened line.
+        i = min(i, len(lines) - 2)
+        *head, last = lines[i].split(" ")
+        kind, *rest = lines[i + 1].split(" ")
+        lines[i], lines[i + 1] = " ".join(head), " ".join([kind, last, *rest])
+        return text_of(lines), True
     if mutation == "duplicate line":
         # A repeated edge is allowed, a repeated node or real line is not.
         i = line_of("node", "edge", "real")
@@ -348,13 +391,16 @@ def _mutated(text: str, mutation: str, pick: int, lo: int) -> tuple[str, bool]:
         tokens[1 if (mutation, kinds[i]) == ("unknown agent", "real") else 2] = "zz"
         lines[i] = " ".join(tokens)
         return text_of(lines), True
-    # Rename node tokens[1] on every line; node names never equal agent
-    # names or directive words in these documents.
+    # Rename node tokens[1], or an agent, on every line; node names never
+    # equal agent names or directive words in these documents.
     old, new = tokens[1], {"name with #": "x#y", "node named node": "node",
                            "node named edge": "edge"}.get(mutation, tokens[1])
-    lines[1:] = [
+    if mutation.startswith("agent named"):
+        agents = lines[0].split(" ")[1:]
+        old, new = agents[pick % len(agents)], mutation.split(" ")[-1]
+    lines[:] = [
         " ".join([kind, *(new if t == old else t for t in rest)])
-        for kind, *rest in (line.split(" ") for line in lines[1:])
+        for kind, *rest in (line.split(" ") for line in lines)
     ]
     return text_of(lines), "#" in new
 
@@ -371,6 +417,22 @@ def _outcome(parse, text):
 def _check_layout_reader(text: str, mutation: str, pick: int, lo: int) -> None:
     text, irregular = _mutated(text, mutation, pick, lo)
     assert (formats._parse_layout(text) is None) == irregular
+    assert _outcome(parse_rbr, text) == _outcome(formats._parse_lines, text)
+
+
+# Documents that pass every lookup of the layout reader but one of its
+# other checks: the line parser rejects each of them.
+NEAR_LAYOUT = {
+    "new name with whitespace": "agents a b\nnode x\nnode b\nnode y a\n",
+    "empty new name": "agents a\nnode x a\nnode  a\n",
+    "one column longer": "agents a\nnode x a\nnode xedge a\nedge x x\nedge x",
+    "repeated agent": "agents a a\nnode x a\n",
+}
+
+
+@pytest.mark.parametrize("text", NEAR_LAYOUT.values(), ids=NEAR_LAYOUT)
+def test_layout_reader_refuses_documents_that_pass_its_lookups(text):
+    assert formats._parse_layout(text) is None
     assert _outcome(parse_rbr, text) == _outcome(formats._parse_lines, text)
 
 
