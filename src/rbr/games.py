@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
-from .errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
-from .graph import stray_id
+from . import graph
+from .errors import ForeignStrategy, SceneOwnerMismatch, TooFewAgents
+from .graph import check_cells, stray_id
 
 Strategy = Hashable
 Outcome = tuple
@@ -26,12 +27,6 @@ Outcome = tuple
 # Comparison oracle verdicts: -1 first outcome strictly worse, 1 strictly
 # better, 0 equivalent, None incomparable.
 Compare = Callable[[int, Outcome, Outcome], Optional[int]]
-
-# The one work budget of this module, read at each check: the cells of one
-# agent's payoff table, |S_a| * prod_{b != a} |S_b| (the number of full
-# outcome profiles), for the builtin constructors and ``rational_response``;
-# ``dominates`` applies it to the opponent profiles of a scene.
-DEFAULT_PROFILE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,7 @@ class Game:
 
     A utility may carry ``utility.respond(a, scene)``, the exact set of
     agent ``a``'s undominated strategies in a scene that has passed the
-    scene check (:func:`_check_scene`) and the cell cap;
+    scene check (:func:`_check_scene`) and the table's cell check;
     :func:`rational_response` then returns it and builds no class table.
     The builtin games give one in closed form.  Table games carry
     ``utility.rows(a)``, :func:`_payoff_classes`' int rows.  Both belong to
@@ -190,32 +185,22 @@ def dominates(
 
     Equivalence and incomparability on any profile both defeat dominance.
     Raises as the scene check (:func:`_check_scene`) does, ForeignStrategy
-    when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap beyond
-    ``DEFAULT_PROFILE_CAP`` opponent profiles.
+    when ``s`` or ``s_prime`` is not ``a``'s, and SizeCap when the scene's
+    opponent profiles are over the cell cap (:func:`graph.check_cells`).
     """
     _check_scene(game, a, scene)
     picks = _scene_picks(game, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
         raise ForeignStrategy((s, s_prime))
-    size = math.prod(len(picked) for _, picked in picks)
-    if size > DEFAULT_PROFILE_CAP:
-        raise SizeCap(
-            f"opponent-profile product has {size} entries (cap {DEFAULT_PROFILE_CAP})"
-        )
+    check_cells(f"the opponent-profile product of agent {a}'s scene",
+                *(len(picked) for _, picked in picks))
     others = game.strategies[:a] + game.strategies[a + 1:]
     axes = [[sp[i] for i in picked] for sp, (_, picked) in zip(others, picks)]
     return all(
         game.compare(a, p[:a] + (s,) + p[a:], p[:a] + (s_prime,) + p[a:]) == -1
         for p in itertools.product(*axes)
     )
-
-
-def _check_cells(what: str, cells: int) -> None:
-    """Raise SizeCap when ``what``, a payoff table of ``cells`` cells, is
-    over ``DEFAULT_PROFILE_CAP``."""
-    if cells > DEFAULT_PROFILE_CAP:
-        raise SizeCap(f"{what} has {cells} cells (cap {DEFAULT_PROFILE_CAP})")
 
 
 def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -264,12 +249,13 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
     """Undominated strategies of ``a`` in ``scene``; never empty when
     ``a``'s space is not.
 
-    Raises as the scene check (:func:`_check_scene`) does.  Utility games
-    have at most ``DEFAULT_PROFILE_CAP`` payoff-table cells (else
-    SizeCap).  A utility with ``respond`` answers the checked scene
-    itself; any other is solved on the agent's integer payoff table
-    quotiented by equal columns: the vectors compared hold one entry per
-    column class the scene hits.  Compare-only games use pairwise :func:`dominates` checks.
+    Raises as the scene check (:func:`_check_scene`) does, and SizeCap
+    when a utility game's payoff table, |S_a| * prod_{b != a} |S_b|
+    cells, is over the cap (:func:`graph.check_cells`).  A utility with
+    ``respond`` answers the checked scene itself; any other is solved on
+    the agent's integer payoff table quotiented by equal columns: the
+    vectors compared hold one entry per column class the scene hits.
+    Compare-only games use pairwise :func:`dominates` checks.
     """
     _check_scene(game, a, scene)
     space = game.strategies[a]
@@ -281,8 +267,7 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
             ):
                 survivors.append(s)
         return frozenset(survivors)
-    cells = math.prod(len(sp) for sp in game.strategies)
-    _check_cells(f"payoff table of agent {a}", cells)
+    check_cells(f"the payoff table of agent {a}", *map(len, game.strategies))
     respond = getattr(game.utility, "respond", None)
     if respond is not None:
         return respond(a, scene)
@@ -333,13 +318,16 @@ def make_guess_average_game(
         raise TooFewAgents("guess-average needs at least two agents")
     if max_int < 1:
         raise TooFewAgents("strategy space must be nonempty")
+    # max_int**agent_count cells: as many factors of max_int > 1 as the
+    # cap has bits pass it, and with max_int = 1 the product is 1 anyway.
+    check_cells("the guess23 payoff table",
+                *[max_int] * min(agent_count, graph.DEFAULT_CELL_CAP.bit_length()))
     if agents is None:
         agents = _agent_names(agent_count)
     elif len(agents) != agent_count:
         raise TooFewAgents(
             f"guess-average for {agent_count} agents got {len(agents)} agent names"
         )
-    _check_cells(f"guess23:{agent_count}:{max_int} payoff table", max_int**agent_count)
     space = tuple(range(1, max_int + 1))
 
     def utility(a: int, outcome: Outcome) -> Fraction:
@@ -402,11 +390,9 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
     # k stops at the first one over the cap, before any space is built.
     # An agent has Quit and (num - 1)**(l - 1) sequences of each length l.
     size, layer = 1, 1
-    for length in range(1, k + 1):
+    for _ in range(k):
         size, layer = size + layer, layer * (num - 1)
-        _check_cells(
-            f"gk:{k} payoff table over sequences up to length {length}", size**num
-        )
+        check_cells("the gk payoff table", *[size] * num)
     spaces = []
     for a in range(num):
         seqs = sorted(alternating_sequences(num, a, k))

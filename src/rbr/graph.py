@@ -29,9 +29,21 @@ from .errors import (
 
 NO_NODE = -1
 
-# Bound on the sequences one level of a node's paths holds, and on the
-# sequences of one bounded hierarchy; read at each check.
-DEFAULT_SEQUENCE_CAP = 10**6
+# The one work budget, in cells (payoff-table cells, opponent profiles or
+# belief-sequence labels); read by check_cells at each check.
+DEFAULT_CELL_CAP = 10**6
+
+
+def check_cells(what: str, *factors: int) -> None:
+    """Raise SizeCap when ``what``, the product of ``factors`` cells, is
+    over ``DEFAULT_CELL_CAP``.  The product is built one factor at a time
+    and stops past the cap (a zero factor makes it 0 wherever it stands),
+    and the message formats no number past the cap."""
+    cap, cells = DEFAULT_CELL_CAP, 0 if 0 in factors else 1
+    for factor in factors:
+        cells *= factor
+        if cells > cap:
+            raise SizeCap(f"{what} is over the cap of {cap} cells")
 
 
 def stray_id(ids: Sequence, bound: int) -> tuple[int, object] | None:
@@ -317,26 +329,26 @@ def _levels(g: RbrGraph, n: int) -> Iterator[list[tuple[tuple[int, ...], int]]]:
 
     A node has at most one successor per agent, and that successor
     carries the agent's label, so a label sequence fixes its path and the
-    sequences of one level are distinct without deduplication.  Raises
-    :class:`SizeCap` when one level holds more than
-    ``DEFAULT_SEQUENCE_CAP`` sequences.
+    sequences of one level are distinct without deduplication.  The
+    budget counts labels, summed over the levels so far (:func:`check_cells`).
     """
-    cap = DEFAULT_SEQUENCE_CAP
     labels, succ = g.labels, g.succ
-    level = [((labels[n],), n)]
+    what = f"the belief walk from node {n}"
+    cells, depth, level = 0, 1, [((labels[n],), n)]
     while level:
+        cells += depth * len(level)
+        check_cells(what, cells)
         yield level
+        depth += 1
         paths = (
             (seq + (labels[m],), m) for seq, last in level for m in succ[last] if m != NO_NODE
         )
-        level = list(islice(paths, cap + 1))
-        if len(level) > cap:
-            raise SizeCap(f"more than {cap} sequences at one level")
+        level = list(islice(paths, (DEFAULT_CELL_CAP - cells) // depth + 1))
 
 
 def path_sequences(g: RbrGraph, n: int, i: int) -> frozenset[tuple[int, ...]]:
     """Label sequences of all length-``i`` paths starting at node ``n``,
-    under the per-level budget of :func:`_levels`."""
+    under the budget of :func:`_levels` (the labels of levels 1..i)."""
     g.check_node(n)
     if i < 1:
         raise ZeroLength(f"path length must be positive, got {i}")
@@ -348,14 +360,9 @@ def path_sequences(g: RbrGraph, n: int, i: int) -> frozenset[tuple[int, ...]]:
 
 def belief_hierarchy_bounded(g: RbrGraph, n: int, j: int) -> frozenset[tuple[int, ...]]:
     """All belief sequences of length at most ``j`` starting at node
-    ``n``, from one walk of :func:`_levels`; SizeCap when they number
-    more than ``DEFAULT_SEQUENCE_CAP``."""
+    ``n``, from one walk of :func:`_levels` under its budget."""
     g.check_node(n)
     out: list[tuple[tuple[int, ...], int]] = []
     for _, level in zip(range(j), _levels(g, n)):
         out += level
-        if len(out) > DEFAULT_SEQUENCE_CAP:
-            raise SizeCap(
-                f"more than {DEFAULT_SEQUENCE_CAP} sequences in the bounded hierarchy"
-            )
     return frozenset(seq for seq, _ in out)

@@ -19,6 +19,7 @@ from rbr import (
 )
 from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgents
 import rbr.games
+import rbr.graph
 from rbr.games import (
     Quit,
     ReasoningScene,
@@ -121,29 +122,44 @@ def test_one_agent_game():
 
 
 def test_payoff_table_size_cap(guess, monkeypatch):
+    # Each agent's table has 10 x 10 x 10 cells.
     scene = full_scene(guess, 0)
-    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 1000)
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 1000)
     assert rational_response(guess, 0, scene) == set(range(1, 8))
-    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 999)
-    with pytest.raises(SizeCap, match="has 1000 cells"):
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 999)
+    with pytest.raises(
+        SizeCap, match="^the payoff table of agent 0 is over the cap of 999 cells$"
+    ):
         rational_response(guess, 0, scene)
+
+
+def test_empty_own_space_has_an_empty_table():
+    # 0 x 1001 x 1000 cells: the zero factor counts even after the
+    # opponents' factors pass the cap.
+    g = utility_game(["a", "b", "c"], [(), range(1001), range(1000)], lambda a, o: 0)
+    assert rational_response(g, 0, full_scene(g, 0)) == frozenset()
 
 
 def test_opponent_profile_size_cap(guess, monkeypatch):
     # Agent 0's full scene allows 10 x 10 opponent profiles.
     scene = full_scene(guess, 0)
-    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 100)
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 100)
     assert dominates(guess, 0, scene, 10, 9)
-    monkeypatch.setattr(rbr.games, "DEFAULT_PROFILE_CAP", 99)
-    with pytest.raises(SizeCap, match="product has 100 entries"):
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 99)
+    with pytest.raises(SizeCap, match="^the opponent-profile product of agent 0's scene "
+                                      "is over the cap of 99 cells$"):
         dominates(guess, 0, scene, 10, 9)
 
 
 def test_builtin_games_are_size_checked_before_construction(monkeypatch):
     # 101**3 = 1030301 cells: rejected from the arguments alone.
-    with pytest.raises(SizeCap, match="1030301 cells"):
+    with pytest.raises(
+        SizeCap, match="^the guess23 payoff table is over the cap of 1000000 cells$"
+    ):
         make_guess_average_game(3, 101)
     make_guess_average_game(3, 100)
+    # Three agents have 64 strategies each up to length 6: 262,144 cells.
+    make_sequence_game(["a", "b", "c"], 6)
 
     def no_sequences(*args):
         raise AssertionError("sequence spaces built before the size check")
@@ -151,9 +167,24 @@ def test_builtin_games_are_size_checked_before_construction(monkeypatch):
     monkeypatch.setattr("rbr.games.alternating_sequences", no_sequences)
     # Three agents: 2**l strategies each up to length l, so the check
     # stops at length 7, the first with (2**7)**3 cells over the cap.
-    for k in (30, 10**9):
-        with pytest.raises(SizeCap, match=f"up to length 7 has {2**21} cells"):
+    for k in (7, 30, 10**9):
+        with pytest.raises(
+            SizeCap, match="^the gk payoff table is over the cap of 1000000 cells$"
+        ):
             make_sequence_game(["a", "b", "c"], k)
+
+
+def test_huge_builtin_arguments_raise_size_cap():
+    # Neither the table's size nor any argument is formatted in full: a
+    # 10,000-digit table size once broke the message with a ValueError.
+    for build in (
+        lambda: make_guess_average_game(2, 10**5000),
+        lambda: make_guess_average_game(10**6, 2),
+        lambda: make_guess_average_game(10**5000, 2, agents=("a", "b")),
+        lambda: make_sequence_game(("a", "b"), 10**5000),
+    ):
+        with pytest.raises(SizeCap, match="over the cap of 1000000 cells"):
+            build()
 
 
 def test_long_two_agent_sequence_space():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rbr import (
@@ -274,34 +276,36 @@ def test_hierarchy_walks_the_levels_once(monkeypatch):
 
 
 def test_sequence_level_size_cap(b1, monkeypatch):
-    # b1's node 0 holds 1, 2 and 4 sequences at levels 1, 2 and 3.
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 4)
+    # b1's node 0 holds 1, 2 and 4 sequences at levels 1, 2 and 3, so
+    # both walks to depth 3 count 1 + 2*2 + 3*4 = 17 labels.
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 17)
     assert len(path_sequences(b1, 0, 3)) == 4
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 7)
     assert len(belief_hierarchy_bounded(b1, 0, 3)) == 7
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 3)
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 16)
     for walk in (path_sequences, belief_hierarchy_bounded):
-        with pytest.raises(SizeCap, match="more than 3 sequences at one level"):
+        with pytest.raises(
+            SizeCap, match="^the belief walk from node 0 is over the cap of 16 cells$"
+        ):
             walk(b1, 0, 3)
 
 
 def test_level_cap_counts_only_the_nodes_own_paths(monkeypatch):
     # b1's triangle beside a separate a<->b pair (nodes 3, 4).  The
-    # triangle holds 3 * 2**(i - 1) sequences at level i, past 100 at
-    # level 7, and node 0 alone past 100 at level 8; node 3 holds one
-    # per level.
+    # triangle holds 3 * 2**(i - 1) sequences at level i and node 0 alone
+    # 2**(i - 1), so node 0's first 5 levels hold 129 labels; node 3 holds
+    # one sequence per level, 55 labels in its first 10.
     g = validate_graph(
         ABC, 5, [0, 1, 2, 0, 1],
         [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (3, 4), (4, 3)],
         {0: 3, 1: 4, 2: 2},
     )
     assert len(belief_hierarchy_bounded(g, 3, 25)) == 25
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 100)
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 55)
     h = belief_hierarchy_bounded(g, 3, 10)
     assert len(h) == 10 and (0, 1) * 5 in h
     assert path_sequences(g, 3, 10) == {(0, 1) * 5}
-    with pytest.raises(SizeCap, match="more than 100 sequences at one level"):
-        path_sequences(g, 0, 10)
+    with pytest.raises(SizeCap, match="^the belief walk from node 0 is over the cap of 55 cells$"):
+        path_sequences(g, 0, 5)
 
 
 def test_non_integer_path_length_is_a_type_error():
@@ -316,9 +320,24 @@ def test_non_integer_path_length_is_a_type_error():
 
 
 def test_bounded_hierarchy_size_cap(b2, monkeypatch):
-    # b2's node 0 holds one sequence per level, so only the hierarchy's
-    # own count passes a cap of 2, at depth 3.
-    monkeypatch.setattr(rbr.graph, "DEFAULT_SEQUENCE_CAP", 2)
+    # b2's node 0 holds one sequence per level, so its first 2 levels
+    # hold 1 + 2 = 3 labels and its first 3 hold 6: the count is summed
+    # over the levels, not taken per level.
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 3)
     assert belief_hierarchy_bounded(b2, 0, 2) == {(0,), (0, 1)}
-    with pytest.raises(SizeCap, match="more than 2 sequences in the bounded hierarchy"):
+    with pytest.raises(SizeCap, match="^the belief walk from node 0 is over the cap of 3 cells$"):
         belief_hierarchy_bounded(b2, 0, 3)
+
+
+def test_long_single_path_walk_stops_at_the_cap():
+    # One sequence per level, but level i holds i labels: the walk to
+    # depth 16,000 would build about 1.3 * 10**8 of them.
+    mutual = validate_graph(("a", "b"), 2, [0, 1], [(0, 1), (1, 0)], {0: 0, 1: 1})
+    start = time.perf_counter()
+    with pytest.raises(SizeCap, match="over the cap of 1000000 cells"):
+        path_sequences(mutual, 0, 16000)
+    assert time.perf_counter() - start < 0.1
+    # 1 + 2 + ... + 1413 labels are within the cap, and 1414 more are not.
+    assert path_sequences(mutual, 0, 1413) == {(0, 1) * 706 + (0,)}
+    with pytest.raises(SizeCap):
+        path_sequences(mutual, 0, 1414)

@@ -3,6 +3,7 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbr import (
     belief_hierarchy_bounded,
@@ -12,6 +13,7 @@ from rbr import (
     nodes_doxastically_equivalent,
     rational_solution,
 )
+import rbr.graph
 import rbr.oracle
 import rbr.solve
 from rbr.errors import SizeCap
@@ -49,6 +51,25 @@ def test_hierarchy_matches_core(corpus):
                 assert brute_force_hierarchy(g, n, depth) == belief_hierarchy_bounded(
                     g, n, depth
                 )
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_hierarchy_budget_matches_the_oracle_label_count(corpus, data):
+    # The walk's budget counts the labels of the sequences it returns, so
+    # it raises exactly when the oracle's sequences hold more than the cap.
+    g = data.draw(st.sampled_from(corpus))
+    n = data.draw(st.integers(0, g.num_nodes - 1))
+    depth = data.draw(st.integers(0, 7))
+    cap = data.draw(st.integers(0, 120))
+    expect = brute_force_hierarchy(g, n, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rbr.graph, "DEFAULT_CELL_CAP", cap)
+        if sum(map(len, expect)) > cap:
+            with pytest.raises(SizeCap):
+                belief_hierarchy_bounded(g, n, depth)
+        else:
+            assert belief_hierarchy_bounded(g, n, depth) == expect
 
 
 def test_solution_examples(b1, b2):
@@ -135,7 +156,7 @@ def test_oracle_sequence_game_is_the_builtin_game(agents, k):
     # Nor may it certify with the builtin sequence game it checks.
     (rbr.oracle, ("rbr.solve", "rbr.partition", "rbr.minimize",
                   "rbr.graph.successor_keys", "rbr.games.make_sequence_game",
-                  "rbr.games.DEFAULT_PROFILE_CAP")),
+                  "rbr.graph.DEFAULT_CELL_CAP", "rbr.graph.check_cells")),
     # The solver groups nodes by scene key and refines no partition.
     (rbr.solve, ("rbr.partition", "rbr.minimize")),
 ], ids=["oracle", "solve"])
