@@ -24,7 +24,7 @@ from .errors import (
     MissingUtilityEntry,
     UnknownIdentifier,
 )
-from .games import Game, utility_game
+from .games import ClassTable, Game, utility_game
 from .graph import NO_NODE, RbrGraph, stray_id, validate_graph
 
 
@@ -411,8 +411,9 @@ def _table_game(agents, spaces, texts: list[str], rationals: dict[str, Fraction]
     at the profile of mixed-radix index ``p`` (last agent fastest) among P.
 
     The game keeps one int table, ``flat``: every utility times ``den``,
-    the lcm of the denominators.  Its ``utility.rows(a)`` cuts agent
-    ``a``'s int rows from ``flat``."""
+    the lcm of the denominators.  Its responder is a
+    :class:`~rbr.games.ClassTable` whose rows for agent ``a`` are cut
+    from ``flat``."""
     den = math.lcm(*(v.denominator for v in rationals.values()))
     ints = {text: v.numerator * (den // v.denominator) for text, v in rationals.items()}
     flat = list(map(ints.__getitem__, texts))
@@ -433,8 +434,7 @@ def _table_game(agents, spaces, texts: list[str], rationals: dict[str, Fraction]
         runs = list(zip(*[iter(flat[a * profiles:(a + 1) * profiles])] * after))
         return [list(itertools.chain(*runs[i::n])) for i in range(n)]
 
-    utility.rows = rows
-    return utility_game(agents, spaces, utility)
+    return utility_game(agents, spaces, utility, ClassTable(spaces, rows))
 
 
 def _parse_game_lines(text: str) -> Game:

@@ -38,23 +38,23 @@ class Game:
     utility-defined; it must agree with ``compare`` and return exact
     rationals (``int`` or ``Fraction``).
 
-    A utility may carry ``utility.respond(a, scene)``, the exact set of
-    agent ``a``'s undominated strategies in a scene that has passed the
-    scene check (:func:`_check_scene`) and the table's cell check;
-    :func:`rational_response` then returns it and builds no class table.
-    The builtin games give one in closed form.  Table games carry
-    ``utility.rows(a)``, :func:`_payoff_classes`' int rows.  Both belong to
-    the utility, so ``dataclasses.replace(game, utility=...)`` drops them.
+    ``respond(a, scene)`` is the exact set of agent ``a``'s undominated
+    strategies in a scene that has passed the scene check
+    (:func:`_check_scene`) and, for a utility game, the table's cell
+    check; :func:`rational_response` returns it.  :func:`utility_game`
+    always sets it: the builtin games give a closed form, any other
+    utility game a :class:`ClassTable`.  A game with no ``respond`` is
+    answered by pairwise :func:`dominates` checks.  ``respond`` is a
+    field, so ``dataclasses.replace(game, utility=...)`` keeps it; new
+    payoffs need a new :func:`utility_game`.
     """
 
     agents: tuple[str, ...]
     strategies: tuple[tuple[Strategy, ...], ...]
     compare: Compare
     utility: Callable[[int, Outcome], Fraction] | None = None
-    # Per-agent class table, filled on first use by _payoff_classes: the
-    # class of each payoff-table column and each class's int column.
-    # Excluded from init, so dataclasses.replace starts an empty cache.
-    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    respond: Callable[[int, "ReasoningScene"], frozenset] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_agents(self) -> int:
@@ -72,18 +72,30 @@ def utility_game(
     agents: Sequence[str],
     strategies: Sequence[Sequence[Strategy]],
     utility: Callable[[int, Outcome], Fraction],
+    respond: Callable[[int, "ReasoningScene"], frozenset] | None = None,
 ) -> Game:
-    """Build a game whose preference order is induced by ``utility``."""
+    """Build a game whose preference order is induced by ``utility``,
+    answered by ``respond`` (see :class:`Game`) or else by a
+    :class:`ClassTable` filled with one ``utility`` call per cell."""
+    spaces = tuple(tuple(sp) for sp in strategies)
 
     def compare(a: int, s: Outcome, s2: Outcome) -> int:
         ua, ub = utility(a, s), utility(a, s2)
         return (ua > ub) - (ua < ub)
 
+    def rows(a: int) -> list[list[int]]:
+        before, after = spaces[:a], spaces[a + 1:]
+        utilities = [[utility(a, o) for o in itertools.product(*before, (s,), *after)]
+                     for s in spaces[a]]
+        den = math.lcm(*(u.denominator for row in utilities for u in row))
+        return [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
+
     return Game(
         agents=tuple(agents),
-        strategies=tuple(tuple(sp) for sp in strategies),
+        strategies=spaces,
         compare=compare,
         utility=utility,
+        respond=ClassTable(spaces, rows) if respond is None else respond,
     )
 
 
@@ -163,13 +175,13 @@ def _check_scene(game: Game, a: int, scene: ReasoningScene) -> None:
             )
 
 
-def _scene_picks(game: Game, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
-    """Per opponent of ``a`` in order, its space's size and the indices of
-    the strategies ``scene``, a scene that has passed the scene check
-    (:func:`_check_scene`), allows."""
+def _scene_picks(strategies, a: int, scene: ReasoningScene) -> list[tuple[int, list[int]]]:
+    """Per opponent of ``a`` in order, the size of its space in
+    ``strategies`` and the indices of the strategies ``scene``, a scene
+    that has passed the scene check (:func:`_check_scene`), allows."""
     return [
         (len(space), [i for i, s in enumerate(space) if s in allowed])
-        for b, (allowed, space) in enumerate(zip(scene.opponents, game.strategies))
+        for b, (allowed, space) in enumerate(zip(scene.opponents, strategies))
         if b != a
     ]
 
@@ -189,7 +201,7 @@ def dominates(
     opponent profiles are over the cell cap (:func:`graph.check_cells`).
     """
     _check_scene(game, a, scene)
-    picks = _scene_picks(game, a, scene)
+    picks = _scene_picks(game.strategies, a, scene)
     space = game.strategies[a]
     if s not in space or s_prime not in space:
         raise ForeignStrategy((s, s_prime))
@@ -203,46 +215,67 @@ def dominates(
     )
 
 
-def _payoff_classes(game: Game, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Agent ``a``'s integer payoff table quotiented by equal columns,
-    cached on ``game._classes``: the class of each column and each
-    class's column, one payoff per own strategy, classes numbered by
-    first appearance.
+class ClassTable:
+    """The responder of a utility game solved on its integer payoff
+    tables quotiented by equal columns.
 
-    The table is ``utility.rows(a)`` if the utility has it, else one
-    ``utility`` call per cell.  Column ``j`` is the opponent profile whose
+    ``rows(a)`` is agent ``a``'s int table, one row per own strategy in
+    ``strategies[a]``: column ``j`` is the opponent profile whose
     mixed-radix digits (opponents in declaration order, last one fastest)
     are its strategy indices, and every utility is scaled by one positive
     constant, which keeps the order exact.  Opponent profiles with equal
     columns pay every strategy of ``a`` alike, so no dominance test can
     tell them apart.
     """
-    table = game._classes.get(a)
-    if table is None:
-        if hasattr(game.utility, "rows"):
-            rows = game.utility.rows(a)
-        else:
-            before, after = game.strategies[:a], game.strategies[a + 1:]
-            utilities = [[game.utility(a, o) for o in itertools.product(*before, (s,), *after)]
-                         for s in game.strategies[a]]
-            den = math.lcm(*(u.denominator for row in utilities for u in row))
-            rows = [[u.numerator * (den // u.denominator) for u in row] for row in utilities]
-        index: dict = {}
-        classes = [index.setdefault(c, len(index)) for c in zip(*rows)]
-        table = game._classes[a] = (classes, list(index))
-    return table
 
+    def __init__(self, strategies, rows: Callable[[int], list[list[int]]]):
+        self.strategies = strategies
+        self.rows = rows
+        self._tables: dict = {}
 
-def _scene_classes(game: Game, a: int, picks: list) -> set[int]:
-    """Column classes of the opponent profiles ``picks`` (agent ``a``'s
-    scene, read by :func:`_scene_picks`) allows: their column indices in
-    mixed radix, last opponent fastest, mapped through the class list."""
-    if not game.strategies[a]:
-        return set()
-    columns = [0]
-    for radix, picked in picks:
-        columns = [c * radix + i for c in columns for i in picked]
-    return set(map(_payoff_classes(game, a)[0].__getitem__, columns))
+    def table(self, a: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Agent ``a``'s class table, built on first use: the class of
+        each column and each class's column, one payoff per own strategy,
+        classes numbered by first appearance."""
+        table = self._tables.get(a)
+        if table is None:
+            index: dict = {}
+            classes = [index.setdefault(c, len(index)) for c in zip(*self.rows(a))]
+            table = self._tables[a] = (classes, list(index))
+        return table
+
+    def hits(self, a: int, scene: ReasoningScene) -> set[int]:
+        """Column classes of the opponent profiles agent ``a``'s checked
+        ``scene`` allows: their column indices in mixed radix, last
+        opponent fastest, mapped through the class list."""
+        if not self.strategies[a]:
+            return set()
+        columns = [0]
+        for radix, picked in _scene_picks(self.strategies, a, scene):
+            columns = [c * radix + i for c in columns for i in picked]
+        return set(map(self.table(a)[0].__getitem__, columns))
+
+    def __call__(self, a: int, scene: ReasoningScene) -> frozenset:
+        """Undominated strategies of ``a`` in the checked ``scene``: the
+        vectors compared hold one entry per column class the scene hits."""
+        space = self.strategies[a]
+        hit = self.hits(a, scene)
+        vectors = list(zip(*map(self.table(a)[1].__getitem__, hit)))
+        sums = list(map(sum, vectors))
+        # A strict dominator has a larger sum over classes, and a dominated
+        # strategy always has an undominated dominator, so checking each
+        # vector against the undominated ones already kept, in order of
+        # decreasing sum, is exact.  The check nests map calls, so no
+        # Python frame runs per comparison.
+        kept: list[tuple[int, ...]] = []
+        survivors = []
+        for i in sorted(range(len(space)), key=sums.__getitem__, reverse=True):
+            v = vectors[i]
+            if not any(map(all, map(map, itertools.repeat(operator.gt), kept,
+                                      itertools.repeat(v)))):
+                kept.append(v)
+                survivors.append(space[i])
+        return frozenset(survivors)
 
 
 def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
@@ -251,43 +284,20 @@ def rational_response(game: Game, a: int, scene: ReasoningScene) -> frozenset:
 
     Raises as the scene check (:func:`_check_scene`) does, and SizeCap
     when a utility game's payoff table, |S_a| * prod_{b != a} |S_b|
-    cells, is over the cap (:func:`graph.check_cells`).  A utility with
-    ``respond`` answers the checked scene itself; any other is solved on
-    the agent's integer payoff table quotiented by equal columns: the
-    vectors compared hold one entry per column class the scene hits.
-    Compare-only games use pairwise :func:`dominates` checks.
+    cells, is over the cap (:func:`graph.check_cells`).  The game's
+    ``respond`` answers the checked scene; a game without one uses
+    pairwise :func:`dominates` checks.
     """
     _check_scene(game, a, scene)
+    if game.utility is not None:
+        check_cells(f"the payoff table of agent {a}", *map(len, game.strategies))
+    if game.respond is not None:
+        return game.respond(a, scene)
     space = game.strategies[a]
-    if game.utility is None:
-        survivors = []
-        for s in space:
-            if not any(
-                s2 is not s and dominates(game, a, scene, s, s2) for s2 in space
-            ):
-                survivors.append(s)
-        return frozenset(survivors)
-    check_cells(f"the payoff table of agent {a}", *map(len, game.strategies))
-    respond = getattr(game.utility, "respond", None)
-    if respond is not None:
-        return respond(a, scene)
-    hit = _scene_classes(game, a, _scene_picks(game, a, scene))
-    vectors = list(zip(*map(_payoff_classes(game, a)[1].__getitem__, hit)))
-    sums = list(map(sum, vectors))
-    # A strict dominator has a larger sum over classes, and a dominated
-    # strategy always has an undominated dominator, so checking each vector
-    # against the undominated ones already kept, in order of decreasing
-    # sum, is exact.  The check nests map calls, so no Python frame runs
-    # per comparison.
-    kept: list[tuple[int, ...]] = []
-    survivors = []
-    for i in sorted(range(len(space)), key=sums.__getitem__, reverse=True):
-        v = vectors[i]
-        if not any(map(all, map(map, itertools.repeat(operator.gt), kept,
-                                  itertools.repeat(v)))):
-            kept.append(v)
-            survivors.append(space[i])
-    return frozenset(survivors)
+    return frozenset(
+        s for s in space
+        if not any(s2 is not s and dominates(game, a, scene, s, s2) for s2 in space)
+    )
 
 
 def _check_int(what: str, value) -> None:
@@ -322,6 +332,9 @@ def make_guess_average_game(
     # cap has bits pass it, and with max_int = 1 the product is 1 anyway.
     check_cells("the guess23 payoff table",
                 *[max_int] * min(agent_count, graph.DEFAULT_CELL_CAP.bit_length()))
+    # The spaces hold agent_count * max_int strategies: with max_int = 1 a
+    # huge count stops here, before names are built or the count printed.
+    check_cells("the guess23 strategy spaces", agent_count, max_int)
     if agents is None:
         agents = _agent_names(agent_count)
     elif len(agents) != agent_count:
@@ -350,8 +363,7 @@ def make_guess_average_game(
                     or x > 1 and tmax4 < s * (2 * x - 1))
         )
 
-    utility.respond = respond
-    return utility_game(agents, [space] * agent_count, utility)
+    return utility_game(agents, [space] * agent_count, utility, respond)
 
 
 @dataclass(frozen=True)
@@ -421,8 +433,7 @@ def make_sequence_game(agents: Sequence[str], k: int) -> Game:
             survivors.append(spaces[a][0])
         return frozenset(survivors)
 
-    utility.respond = respond
-    return utility_game(tuple(agents), spaces, utility)
+    return utility_game(tuple(agents), spaces, utility, respond)
 
 
 def make_binary_game(agents: Sequence[str]) -> Game:
@@ -436,8 +447,7 @@ def make_binary_game(agents: Sequence[str]) -> Game:
     def respond(a: int, scene: ReasoningScene) -> frozenset:
         return frozenset({1})
 
-    utility.respond = respond
-    return utility_game(tuple(agents), [(0, 1)] * len(agents), utility)
+    return utility_game(tuple(agents), [(0, 1)] * len(agents), utility, respond)
 
 
 def strategy_label(game: Game, s: Strategy) -> str:

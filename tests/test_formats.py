@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 
 from rbr import (
     NO_NODE,
+    Game,
     export_dot,
     full_scene,
     make_scene,
@@ -18,6 +18,7 @@ from rbr import (
     rational_response,
     read_graph,
     serialize_rbr,
+    utility_game,
     validate_graph,
 )
 from rbr.errors import (
@@ -31,7 +32,7 @@ from rbr.errors import (
     UnknownIdentifier,
 )
 from rbr import formats
-from rbr.games import _payoff_classes
+from rbr.games import ClassTable
 from .conftest import chain
 from .test_properties import _merged_table_game, graphs
 
@@ -563,8 +564,8 @@ def layout_game_documents(draw, value=None):
 
 def _game_outcome(parse, text):
     """What ``parse`` makes of a game document: the agents, spaces, every
-    utility and every agent's int rows, or its error's class, message and
-    line."""
+    utility and every agent's class table, or its error's class, message
+    and line."""
     try:
         game = parse(text)
     except FormatError as exc:
@@ -572,7 +573,7 @@ def _game_outcome(parse, text):
     profiles = list(itertools.product(*game.strategies))
     return game.agents, game.strategies, [
         game.utility(a, o) for a in range(game.num_agents) for o in profiles], [
-        game.utility.rows(a) for a in range(game.num_agents)]
+        game.respond.table(a) for a in range(game.num_agents)]
 
 
 @given(layout_game_documents())
@@ -597,11 +598,13 @@ def test_table_rows_answer_as_the_per_cell_table_and_pairwise_checks(text, data)
     for line in text.splitlines()[2 + game.num_agents:]:
         _, name, *profile, value = line.split(" ")
         assert game.utility(game.agents.index(name), tuple(profile)) == Fraction(value)
-    per_cell = dataclasses.replace(game, utility=lambda a, o: game.utility(a, o))
-    pairwise = dataclasses.replace(game, utility=None)
+    per_cell = utility_game(game.agents, game.strategies, game.utility)
+    pairwise = Game(game.agents, game.strategies, game.compare)
+    assert isinstance(game.respond, ClassTable)
+    assert per_cell.respond is not game.respond and pairwise.respond is None
     for a in range(game.num_agents):
-        classes, columns = _payoff_classes(game, a)
-        cell_classes, cell_columns = _payoff_classes(per_cell, a)
+        classes, columns = game.respond.table(a)
+        cell_classes, cell_columns = per_cell.respond.table(a)
         assert classes == cell_classes
         cells = [(x, y) for column, cell_column in zip(columns, cell_columns)
                  for x, y in zip(column, cell_column)]
@@ -617,22 +620,29 @@ def test_table_rows_answer_as_the_per_cell_table_and_pairwise_checks(text, data)
         assert response == rational_response(pairwise, a, scene)
 
 
-def test_table_game_classes_come_from_its_rows():
-    """A table game's class tables are cut from its int rows, with no
-    ``utility`` call per cell."""
-    game = _merged_table_game()
+def test_table_game_classes_come_from_its_rows(monkeypatch):
+    """A table game's class tables are cut from its int rows: answering
+    every agent's full scene makes no call of the utility it is built
+    with."""
     calls = []
+    build = formats.utility_game
 
-    def counted(a, outcome):
-        calls.append((a, outcome))
-        return game.utility(a, outcome)
+    def counting_utility_game(agents, strategies, utility, respond=None):
+        def counted(a, outcome):
+            calls.append((a, outcome))
+            return utility(a, outcome)
 
-    counted.rows = game.utility.rows
-    counting = dataclasses.replace(game, utility=counted)
-    assert [_payoff_classes(counting, a) for a in range(3)] == [
-        _payoff_classes(game, a) for a in range(3)]
-    assert [len(_payoff_classes(game, a)[1]) for a in range(3)] == [2, 2, 2]
+        return build(agents, strategies, counted, respond)
+
+    monkeypatch.setattr(formats, "utility_game", counting_utility_game)
+    game = _merged_table_game()
+    for a in range(3):
+        rational_response(game, a, full_scene(game, a))
+    assert [len(game.respond.table(a)[1]) for a in range(3)] == [2, 2, 2]
     assert calls == []
+    # The counter does see the table game's own utility.
+    game.utility(0, ("s0", "s0", "s0"))
+    assert calls == [(0, ("s0", "s0", "s0"))]
 
 
 GAME_MUTATIONS = ["drop line", "double line", "move line", "copy over line",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbr import (
+    Game,
     dominates,
     full_scene,
     make_binary_game,
@@ -21,11 +22,12 @@ from rbr.errors import ForeignStrategy, SceneOwnerMismatch, SizeCap, TooFewAgent
 import rbr.games
 import rbr.graph
 from rbr.games import (
+    ClassTable,
     Quit,
     ReasoningScene,
-    _payoff_classes,
     alternating_sequences,
 )
+from .test_properties import _merged_table_game
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,27 @@ def test_huge_builtin_arguments_raise_size_cap():
             build()
 
 
+def test_guess_average_agents_are_counted_before_they_are_named(monkeypatch):
+    # With a max of 1 the table has one cell, so the check that stops a
+    # huge agent count is the strategy spaces' one: count times max.
+    def no_names(count):
+        raise AssertionError("agent names built before the size check")
+
+    monkeypatch.setattr(rbr.games, "_agent_names", no_names)
+    message = "^the guess23 strategy spaces is over the cap of 1000000 cells$"
+    for build in (
+        lambda: make_guess_average_game(10**5000, 1, agents=("a", "b")),
+        lambda: make_guess_average_game(10**7, 1),
+    ):
+        with pytest.raises(SizeCap, match=message):
+            build()
+    monkeypatch.undo()
+    monkeypatch.setattr(rbr.graph, "DEFAULT_CELL_CAP", 10)
+    assert make_guess_average_game(10, 1).num_agents == 10
+    with pytest.raises(SizeCap, match="^the guess23 strategy spaces is over the cap of 10 cells$"):
+        make_guess_average_game(11, 1)
+
+
 def test_long_two_agent_sequence_space():
     # One sequence per length; built without deep recursion.
     game = make_sequence_game(["a", "b"], 999)
@@ -274,23 +297,33 @@ def test_guess_target_on_a_midpoint_keeps_both_neighbours():
     assert rational_response(_per_cell(game), 0, scene) == {1, 2}
 
 
-def test_replaced_game_gets_a_fresh_payoff_table():
+def test_new_payoffs_get_a_fresh_payoff_table():
     game = make_guess_average_game(3, 10)
     scene = full_scene(game, 0)
-    assert rational_response(game, 0, scene) == set(range(1, 8))
-    assert len(_payoff_classes(game, 0)[1]) == 19
-    flipped = dataclasses.replace(
-        game,
-        compare=lambda a, s, s2: game.compare(a, s2, s),
-        utility=lambda a, o: -game.utility(a, o),
-    )
-    assert flipped._classes == {}
+    per_cell = _per_cell(game)
+    assert rational_response(per_cell, 0, scene) == set(range(1, 8))
+    assert len(per_cell.respond.table(0)[1]) == 19
+    flipped = utility_game(game.agents, game.strategies, lambda a, o: -game.utility(a, o))
     assert rational_response(flipped, 0, scene) == {1, 2, 3, 10}
-    # A constant utility has one column class; the cached 19 stay with game.
-    flat = dataclasses.replace(game, utility=lambda a, o: 0)
+    # A constant utility has one column class; the cached 19 stay with per_cell.
+    flat = utility_game(game.agents, game.strategies, lambda a, o: 0)
     assert rational_response(flat, 0, scene) == set(range(1, 11))
-    assert len(_payoff_classes(flat, 0)[1]) == 1
-    assert len(_payoff_classes(game, 0)[1]) == 19
+    assert len(flat.respond.table(0)[1]) == 1
+    assert len(per_cell.respond.table(0)[1]) == 19
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_guess_average_game(3, 10),
+    lambda: _per_cell(make_guess_average_game(3, 10)),
+], ids=["respond", "class table"])
+def test_replaced_utility_keeps_the_responder(make):
+    """``respond`` is a field of the game, so replacing the utility keeps
+    it, and the responses with it."""
+    game = make()
+    scene = full_scene(game, 0)
+    replaced = dataclasses.replace(game, utility=lambda a, o: 0)
+    assert replaced.respond is game.respond
+    assert rational_response(replaced, 0, scene) == set(range(1, 8))
 
 
 def test_utility_evaluated_once_per_table_cell(b1):
@@ -301,7 +334,7 @@ def test_utility_evaluated_once_per_table_cell(b1):
         calls.append((a, o))
         return game.utility(a, o)
 
-    counted = dataclasses.replace(game, utility=utility)
+    counted = utility_game(game.agents, game.strategies, utility)
     assert rational_solution(b1, counted).solution == (frozenset({1}),) * 3
     assert len(calls) == len(set(calls)) == 3 * 10**3
 
@@ -372,21 +405,27 @@ def test_dominance_asymmetric(data):
 
 
 @given(st.data())
+@settings(deadline=None)
 def test_response_monotone_in_scene(data):
-    g = make_guess_average_game(3, 8)
-    big_b = data.draw(st.sets(st.integers(1, 8), min_size=1))
-    big_c = data.draw(st.sets(st.integers(1, 8), min_size=1))
-    small_b = data.draw(st.sets(st.sampled_from(sorted(big_b)), min_size=1))
-    small_c = data.draw(st.sets(st.sampled_from(sorted(big_c)), min_size=1))
-    big = make_scene(g, 0, {1: big_b, 2: big_c})
-    small = make_scene(g, 0, {1: small_b, 2: small_c})
-    assert small.narrower_than(big)
-    assert rational_response(g, 0, small) <= rational_response(g, 0, big)
-    # Dominance carries down from the wider scene too.
-    for s in (6, 7, 8):
-        for s2 in (4, 5):
-            if dominates(g, 0, big, s, s2):
-                assert dominates(g, 0, small, s, s2)
+    """A narrower scene (``narrower_than``) never widens the response, on
+    every kind of responder: the builtins' closed forms, a table game's
+    class table, a builtin's per-cell class table and the pairwise scan."""
+    for g in RESPONDER_KINDS:
+        a = data.draw(st.integers(0, g.num_agents - 1))
+        wide, narrow = {}, {}
+        for b, space in enumerate(g.strategies):
+            if b != a:
+                wide[b] = data.draw(st.sets(st.sampled_from(space), min_size=1))
+                kept = [t for t in space if t in wide[b]]
+                narrow[b] = data.draw(st.sets(st.sampled_from(kept), min_size=1))
+        big, small = make_scene(g, a, wide), make_scene(g, a, narrow)
+        assert small.narrower_than(big)
+        assert rational_response(g, a, small) <= rational_response(g, a, big)
+        # Dominance carries down from the wider scene too, for every
+        # ordered pair of distinct strategies.
+        for s, s2 in itertools.permutations(g.strategies[a], 2):
+            if dominates(g, a, big, s, s2):
+                assert dominates(g, a, small, s, s2)
 
 
 def test_response_never_empty():
@@ -396,9 +435,36 @@ def test_response_never_empty():
 
 
 def _per_cell(game):
-    """``game`` with a utility that carries no class table, so that its
-    payoff table is built one ``utility`` call per cell."""
-    return dataclasses.replace(game, utility=lambda a, o: game.utility(a, o))
+    """A new utility game with ``game``'s payoffs and no responder of its
+    own, so that it is solved on a class table built one ``utility`` call
+    per cell."""
+    return utility_game(game.agents, game.strategies, game.utility)
+
+
+def _pairwise(game):
+    """``game``'s compare-only copy, answered by pairwise ``dominates``
+    checks."""
+    return Game(game.agents, game.strategies, game.compare)
+
+
+# One game per kind of responder: the three closed forms, a table game's
+# class table, a builtin's per-cell class table and the pairwise scan.
+RESPONDER_KINDS = [
+    make_guess_average_game(3, 8),
+    make_sequence_game("abc", 3),
+    make_binary_game("abc"),
+    _merged_table_game(),
+    _per_cell(make_sequence_game("abc", 2)),
+    _pairwise(make_guess_average_game(3, 5)),
+]
+
+
+def test_references_are_distinct_responders():
+    for game in (make_guess_average_game(3, 4), _merged_table_game()):
+        per_cell = _per_cell(game)
+        assert isinstance(per_cell.respond, ClassTable)
+        assert per_cell.respond is not game.respond
+        assert _pairwise(game).respond is None
 
 
 SMALL_BUILTINS = {
@@ -456,7 +522,7 @@ def _class_counts(game):
     positive scale, and that the classes are distinct and all used."""
     counts = []
     for a in range(game.num_agents):
-        classes, columns = _payoff_classes(game, a)
+        classes, columns = _per_cell(game).respond.table(a)
         _assert_scales_the_per_cell_columns(game, a, classes, columns)
         assert sorted(set(classes)) == list(range(len(columns)))
         assert len(set(columns)) == len(columns)
@@ -478,7 +544,7 @@ def test_guess_average_classes_are_the_opponents_sums(n, top):
     ids=["guess23:3:100", "gk:5"],
 )
 def test_large_builtin_tables_merge_their_columns(make, columns, count):
-    classes, class_columns = _payoff_classes(make(), 0)
+    classes, class_columns = _per_cell(make()).respond.table(0)
     assert (len(classes), len(class_columns)) == (columns, count)
 
 
@@ -551,7 +617,6 @@ def test_builtin_solve_calls_no_utility(b1, make):
         calls.append((a, s, s2))
         return game.compare(a, s, s2)
 
-    utility.respond = game.utility.respond
     counted = dataclasses.replace(game, utility=utility, compare=compare)
     expected = rational_solution(b1, _per_cell(game)).solution
     assert rational_solution(b1, counted).solution == expected
@@ -568,15 +633,14 @@ def test_builtin_solve_calls_no_utility(b1, make):
 )
 def test_builtin_tables_never_take_the_per_cell_path(b1, make, monkeypatch):
     """With its per-cell utility and the table builder both refused, a
-    builtin still solves b1 as before, through ``utility.respond``."""
+    builtin still solves b1 as before, through ``game.respond``."""
     game = make(b1.agents)
     expected = rational_solution(b1, game).solution
 
     def refuse(*args):
         raise AssertionError(f"per-cell payoff called with {args}")
 
-    refuse.respond = game.utility.respond
-    monkeypatch.setattr(rbr.games, "_payoff_classes", refuse)
+    monkeypatch.setattr(ClassTable, "table", refuse)
     refusing = dataclasses.replace(game, utility=refuse)
     assert rational_solution(b1, refusing).solution == expected
 
@@ -602,6 +666,6 @@ def test_builtin_solves_build_no_class_table(b1, make, expected, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"class table built with {args}")
 
-    monkeypatch.setattr(rbr.games, "_payoff_classes", refuse)
+    monkeypatch.setattr(ClassTable, "table", refuse)
     assert rational_solution(b1, game).solution == expected
-    assert game._classes == {}
+    assert not isinstance(game.respond, ClassTable)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 import operator
 import random
@@ -40,7 +40,7 @@ from rbr import (
     validate_graph,
 )
 from rbr.errors import ForeignStrategy, NonTermination
-from rbr.games import ReasoningScene, _payoff_classes, _scene_classes, _scene_picks
+from rbr.games import ClassTable, ReasoningScene
 from rbr.graph import NO_NODE, successor_keys
 from rbr.partition import disjoint_union
 from rbr.oracle import (
@@ -352,7 +352,7 @@ def test_column_classes_match_the_pairwise_path(data):
     ``dominates`` checks over every opponent profile answer."""
     agents = ABC[:data.draw(st.integers(1, 3))]
     game = data.draw(merging_games(agents))
-    pairwise = dataclasses.replace(game, utility=None)
+    pairwise = Game(game.agents, game.strategies, game.compare)
     for a in range(len(agents)):
         scene = make_scene(game, a, {
             b: data.draw(st.sets(st.sampled_from(space), min_size=1))
@@ -371,14 +371,24 @@ BIG_TABLE_GAMES = {
 }
 
 
-def _classes_hit(game, scene):
-    """The classes of the columns ``scene`` allows, enumerated one
-    profile at a time: a column's index is its opponent profile's
-    strategy indices in mixed radix, last opponent fastest."""
-    classes = _payoff_classes(game, scene.owner)[0]
+@functools.cache
+def _class_table(game):
+    """``game``'s own class table, or for a builtin the one of a utility
+    game with its payoffs, built one ``utility`` call per cell."""
+    if isinstance(game.respond, ClassTable):
+        return game.respond
+    return utility_game(game.agents, game.strategies, game.utility).respond
+
+
+def _classes_hit(table, scene):
+    """The classes of the columns ``scene`` allows in the class table
+    ``table``, enumerated one profile at a time: a column's index is its
+    opponent profile's strategy indices in mixed radix, last opponent
+    fastest."""
+    classes = table.table(scene.owner)[0]
     axes = [
         [(i, len(space)) for i, s in enumerate(space) if s in scene.opponents[b]]
-        for b, space in enumerate(game.strategies)
+        for b, space in enumerate(table.strategies)
         if b != scene.owner
     ]
     hit = set()
@@ -398,13 +408,14 @@ def test_big_builtin_classes_match_the_pairwise_path(name, data):
     class and the full scene, which hits every class, answer as pairwise
     ``dominates`` checks do."""
     game = BIG_TABLE_GAMES[name]
+    table = _class_table(game)
     a = data.draw(st.integers(0, 2))
     hits = data.draw(st.sampled_from(["drawn", "one class", "every class"]))
     profile = [data.draw(st.sampled_from(space)) for space in game.strategies]
 
     def class_of(b, t):
         singletons = {c: {t if c == b else x} for c, x in enumerate(profile) if c != a}
-        return _classes_hit(game, make_scene(game, a, singletons))
+        return _classes_hit(table, make_scene(game, a, singletons))
 
     opponents = {}
     for b, space in enumerate(game.strategies):
@@ -418,9 +429,9 @@ def test_big_builtin_classes_match_the_pairwise_path(name, data):
             opponents[b] = data.draw(st.sets(st.sampled_from(space), min_size=1))
     scene = make_scene(game, a, opponents)
     if hits != "drawn":
-        count = 1 if hits == "one class" else len(_payoff_classes(game, a)[1])
-        assert len(_classes_hit(game, scene)) == count
-    pairwise = dataclasses.replace(game, utility=None)
+        count = 1 if hits == "one class" else len(table.table(a)[1])
+        assert len(_classes_hit(table, scene)) == count
+    pairwise = Game(game.agents, game.strategies, game.compare)
     assert rational_response(game, a, scene) == rational_response(pairwise, a, scene)
 
 
@@ -472,8 +483,8 @@ def test_scene_classes_are_the_enumerated_columns_classes(name, data):
         last = max(opponents)
         opponents[last] = {data.draw(st.sampled_from(game.strategies[last]))}
     scene = make_scene(game, a, opponents)
-    picks = _scene_picks(game, a, scene)
-    assert _scene_classes(game, a, picks) == _classes_hit(game, scene)
+    table = _class_table(game)
+    assert table.hits(a, scene) == _classes_hit(table, scene)
 
 
 @pytest.mark.parametrize("name", [n for n, g in HIT_GAMES.items() if g.num_agents > 1])
